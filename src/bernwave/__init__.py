@@ -61,7 +61,6 @@ __all__ = [
     "bspline_ft_magnitude",
     "bspline_value",
     "euler_frobenius",
-    "spline_phi_hat_magnitude",
     "spline_wavelet",
     "spline_wavelet_magnitude",
     "tensor_ckp",

@@ -88,6 +88,8 @@ def _int_list(text: str) -> List[int]:
 
 def _cmd_constants(args) -> int:
     t0 = time.perf_counter()
+    if args.j_max < 0:
+        raise ValueError(f"--j-max must be nonnegative, got {args.j_max}")
     rows = []
     if args.set in ("spline", "all"):
         sc = spline_constants()
@@ -110,6 +112,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_mask(args) -> int:
     t0 = time.perf_counter()
+    if args.m < 1:
+        raise ValueError(f"order must be a positive integer, got {args.m}")
     if args.family == "daubechies":
         h = [float(x) for x in np.asarray(_daub.daub_mask(args.m), dtype=float)]
         if args.part == "phi":

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import comb as _comb, gammaln as _gammaln
 
 from .numerics import adaptive_integrate, poly_complex_roots
+from .splines import _log_abs_sinc
 
 __all__ = [
     "MASK_ORDER_LIMIT",
@@ -32,6 +33,16 @@ __all__ = [
 ]
 
 MASK_ORDER_LIMIT = 20
+
+# _log_phi_hat takes sin^2 directly at one level in this many, the rest by
+# the double-angle identity
+_SIN_EVERY = 4
+# nodes per block of _log_phi_hat: its four work arrays (512 KB) stay in a
+# core's own cache instead of streaming through memory once per level
+_PHI_BLOCK = 1 << 14
+# elements per (depth x nodes) block of daub_phi_hat_complex: 512 KB of
+# complex, in a core's own cache for the same reason
+_COMPLEX_CHUNK = 1 << 15
 
 
 def _check_order(m: int, for_mask: bool = False):
@@ -153,10 +164,14 @@ def daub_mask(m: int) -> Tuple[float, ...]:
 
 
 def _mask_transform(m: int, w: np.ndarray) -> np.ndarray:
+    """a(w) = sum_n h_n e^{-inw}, by Horner in z = e^{-iw}: one complex
+    exponential per node instead of one per coefficient."""
     h = daub_mask(m)
-    out = np.zeros_like(w, dtype=complex)
-    for n, hn in enumerate(h):
-        out += hn * np.exp(-1j * n * w)
+    z = np.exp(-1j * np.asarray(w, dtype=float))
+    out = np.full_like(z, h[-1])
+    for hn in h[-2::-1]:
+        out *= z
+        out += hn
     return out
 
 
@@ -180,13 +195,54 @@ def _product_depth(m: int, wmax: float, tol: float) -> int:
 
 
 def _log_phi_hat(m: int, w: np.ndarray, tol: float) -> np.ndarray:
-    """ln|phi^(w)| + ln sqrt(2 pi), certified within a (1 +/- tol) factor."""
+    """ln|phi^(w)| + ln sqrt(2 pi), certified within a (1 +/- tol) factor.
+
+    Equals 0.5 * sum_{l=1..L} ln|a(w/2^l)|^2 with |a(2x)|^2 =
+    cos^{2m}(x) P(sin^2 x).  The cosine factors of all L levels
+    telescope, prod_{l=1..L} cos(w/2^{l+1}) = sinc(w/2) / sinc(w/2^{L+1}),
+    so a level only needs y = sin^2(w/2^{l+1}) and the Horner polynomial
+    P(y) >= 1.  Levels run from the deepest up; y is evaluated directly
+    every _SIN_EVERY levels and carried between by the double-angle
+    identity sin^2(2x) = 4 y (1 - y); its rounding error in y grows at
+    most 4-fold per step and enters ln P times P'/P < 2m.  The P
+    factors are multiplied into a running product whose log is taken
+    every few levels, before it can overflow.  Nodes go through in blocks
+    of _PHI_BLOCK, all at the depth L set by the largest node.
+    """
     wmax = float(np.max(np.abs(w))) if w.size else 1.0
     L = _product_depth(m, max(wmax, 1.0), tol)
-    acc = np.zeros_like(w)
-    for l in range(1, L + 1):
-        acc += _log_symbol_squared(m, w / 2.0 ** l)
-    return 0.5 * acc
+    pc = _p_coeffs(m)
+    # P <= P(1) on [0, 1]: keep every partial product below e^700
+    log_p1 = math.log(sum(pc))
+    flush = max(1, min(8, int(700.0 / log_p1))) if log_p1 > 0.0 else 8
+    flat = w.ravel()
+    out = m * (_log_abs_sinc(0.5 * flat) - _log_abs_sinc(flat * 2.0 ** -(L + 1)))
+    y, t, P, prod = (np.empty(min(flat.size, _PHI_BLOCK)) for _ in range(4))
+    for i in range(0, flat.size, _PHI_BLOCK):
+        wb = flat[i : i + _PHI_BLOCK]
+        k = wb.size
+        ob, yb, tb, Pb, pb = out[i : i + k], y[:k], t[:k], P[:k], prod[:k]
+        pb.fill(1.0)
+        for n, l in enumerate(range(L, 0, -1), start=1):
+            if (L - l) % _SIN_EVERY == 0:
+                np.multiply(wb, 2.0 ** -(l + 1), out=yb)
+                np.sin(yb, out=yb)
+                np.square(yb, out=yb)
+            else:
+                np.subtract(1.0, yb, out=tb)
+                yb *= tb
+                yb *= 4.0
+            Pb.fill(pc[-1])
+            for c in pc[-2::-1]:
+                Pb *= yb
+                Pb += c
+            pb *= Pb
+            if n % flush == 0 or l == 1:
+                np.log(pb, out=pb)
+                pb *= 0.5
+                ob += pb
+                pb.fill(1.0)
+    return out.reshape(w.shape)
 
 
 def daub_phi_hat_magnitude(m: int, omega, tol: float = 1e-12):
@@ -217,13 +273,19 @@ def daub_psi_hat_magnitude(m: int, omega, tol: float = 1e-12):
 
 
 def daub_phi_hat_complex(m: int, omega, depth: int = 48):
-    """Complex FT of the scaling function via the mask product (m <= 20)."""
+    """Complex FT of the scaling function via the mask product (m <= 20).
+
+    All `depth` levels of a chunk of nodes go through one (depth x chunk)
+    mask evaluation, with chunks of about _COMPLEX_CHUNK elements."""
     _check_order(m, for_mask=True)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.ones_like(w, dtype=complex)
-    for l in range(1, depth + 1):
-        out *= _mask_transform(m, w / 2.0 ** l)
-    out /= math.sqrt(2.0 * math.pi)
+    scales = 2.0 ** -np.arange(1, depth + 1, dtype=float)[:, None]
+    flat = w.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    step = max(1, _COMPLEX_CHUNK // max(depth, 1))
+    for i in range(0, flat.size, step):
+        out[i : i + step] = np.prod(_mask_transform(m, scales * flat[i : i + step]), axis=0)
+    out = out.reshape(w.shape) / math.sqrt(2.0 * math.pi)
     return complex(out[0]) if np.asarray(omega).ndim == 0 else out
 
 

@@ -62,6 +62,9 @@ _X15, _W15 = np.polynomial.legendre.leggauss(15)
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 
 _EVAL_CHUNK = 1 << 22
+# integrand evaluations one norm may spend; 22 per panel (GL15 + GL7)
+_NODE_BUDGET = 80_000_000
+_BUDGET_MESSAGE = "quadrature node budget exceeded; request a looser tolerance"
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +89,8 @@ class WeightedNormQuery:
             raise ValueError(f"unknown part {self.part!r}")
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise ValueError("m must be a positive integer")
-        if not self.p > 1.0:
-            raise ValueError("p must exceed 1")
+        if not (math.isfinite(self.p) and self.p > 1.0):
+            raise ValueError("p must be finite and exceed 1")
         if not (self.tol > 0.0 and self.scale > 0.0):
             raise ValueError("tol and scale must be positive")
         limit = SPLINE_ORDER_LIMIT if self.family == "spline" else _daub.MASK_ORDER_LIMIT
@@ -257,7 +260,7 @@ def _gl_on_panels(f, lo, hi):
     return i15, np.abs(i15 - i7)
 
 
-def _composite_integrate(f, edges, rel_tol, node_budget=80_000_000, max_rounds=24):
+def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, max_rounds=24):
     """Integrate f (vectorized, nonnegative) over the panels defined by
     `edges`, splitting the panels whose GL15-vs-GL7 discrepancy dominates
     until the summed discrepancy is below rel_tol * integral.
@@ -265,8 +268,10 @@ def _composite_integrate(f, edges, rel_tol, node_budget=80_000_000, max_rounds=2
     Returns (integral, error_estimate, n_panels)."""
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
-    vals, errs = _gl_on_panels(f, lo, hi)
     used = 22 * lo.size
+    if used > node_budget:  # refuse before the first evaluation
+        raise RuntimeError(_BUDGET_MESSAGE)
+    vals, errs = _gl_on_panels(f, lo, hi)
     for _ in range(max_rounds):
         total = float(vals.sum())
         err = float(errs.sum())
@@ -284,7 +289,7 @@ def _composite_integrate(f, edges, rel_tol, node_budget=80_000_000, max_rounds=2
         shi = np.concatenate([mid, nh])
         used += 22 * slo.size
         if used > node_budget:
-            raise RuntimeError("quadrature node budget exceeded; request a looser tolerance")
+            raise RuntimeError(_BUDGET_MESSAGE)
         svals, serrs = _gl_on_panels(f, slo, shi)
         lo = np.concatenate([lo[~mask], slo])
         hi = np.concatenate([hi[~mask], shi])
@@ -303,6 +308,8 @@ def _build_edges(omega, small_expo, small_coeff, abs_target):
     Returns (edges, head_bound) where head_bound >= integral over (0, eps)."""
     w0 = 0.25 * math.pi
     n = int(round(omega / w0))
+    if 22 * n > _NODE_BUDGET:  # do not even allocate the edges
+        raise RuntimeError(_BUDGET_MESSAGE)
     body = w0 * np.arange(1, n + 1)
     g1 = small_expo + 1.0
     if g1 <= 0.0:
@@ -697,6 +704,10 @@ def _coeff_symbol_power(coeffs, p, n_grid=1 << 14):
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficient vector must be one-dimensional and nonempty")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    if not c.any():
+        raise ValueError("coefficient vector is zero; the inequality has no ratio")
     if c.size <= 8:
         chat = c @ _chat_basis(n_grid)[: c.size]
     else:

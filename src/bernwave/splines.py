@@ -123,9 +123,13 @@ def spline_wavelet(m: int) -> List[Fraction]:
 
 
 def _log_abs_sinc(u: np.ndarray) -> np.ndarray:
-    # ln|sin(u)/u| with the removable singularity at 0 handled by np.sinc
+    # ln|sin(u)/u|, 0 at u = 0.  sin is taken at u itself: np.sinc(u / pi)
+    # rounds u / pi first, which near a zero of sin can change sin(u) by
+    # a factor of order one
+    q = np.ones_like(u)
+    np.divide(np.sin(u), u, out=q, where=u != 0.0)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(np.sinc(u / np.pi)))
+        return np.log(np.abs(q))
 
 
 def bspline_ft_magnitude(m: int, omega):

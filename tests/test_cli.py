@@ -253,3 +253,32 @@ def test_version_flag():
     with pytest.raises(SystemExit) as e:
         main(["--version"])
     assert e.value.code == 0
+
+
+def _one_line_refusal(capsys, argv, code):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.endswith("\n") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "--coeffs", "0,0", "--m", "3", "--k", "1"],
+    ["bernstein", "--coeffs", "nan,1", "--m", "3", "--k", "1"],
+    ["mask", "--family", "spline", "--m", "0"],
+    ["mask", "--family", "spline", "--m", "0", "--part", "psi"],
+    ["mask", "--family", "daubechies", "--m", "0"],
+    ["constants", "--j-max", "-3"],
+    ["ckp", "--family", "spline", "--part", "psi", "--m", "3", "--k", "1", "--p", "inf"],
+])
+def test_bad_input_exits_two_with_one_line(capsys, argv):
+    err = _one_line_refusal(capsys, argv, 2)
+    assert err.startswith(f"bernwave {argv[0]}: ")
+
+
+def test_over_budget_ckp_exits_one_with_one_line(capsys):
+    err = _one_line_refusal(capsys, ["ckp", "--family", "daubechies", "--part", "phi", "--m", "6",
+                                     "--k", "1", "--p", "1.5", "--tol", "1e-6"], 1)
+    assert "node budget" in err

@@ -365,3 +365,41 @@ def test_norm_result_certificate_fields():
     assert r.certified_rel_error <= 1e-9
     assert r.cutoff > 0.0 and r.tail_bound >= 0.0 and r.panels >= 1
     assert r.query.m == 4 and r.query.alpha == -1.0
+
+
+def test_over_budget_norm_refuses_before_quadrature():
+    # the sup-route tail puts the cutoff at pi 2^24: 2^26 panels, about
+    # 1.5e9 nodes against a budget of 8e7, refused before any evaluation
+    import time
+
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="node budget"):
+        weighted_lp_norm("daubechies", "phi", 6, 1.0, 1.5, 1e-6)
+    assert time.perf_counter() - t0 < 20.0
+
+
+def test_composite_integrate_checks_budget_up_front():
+    from bernwave.norms import _composite_integrate
+
+    calls = []
+
+    def f(w):
+        calls.append(w.size)
+        return np.ones_like(w)
+
+    with pytest.raises(RuntimeError, match="node budget"):
+        _composite_integrate(f, np.linspace(0.0, 1.0, 11), 1e-6, node_budget=22 * 9)
+    assert calls == []
+    total, _, panels = _composite_integrate(f, np.linspace(0.0, 1.0, 11), 1e-6, node_budget=22 * 10)
+    assert panels == 10 and total == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0], [math.nan, 1.0], [1.0, math.inf]])
+def test_verify_bernstein_rejects_degenerate_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        verify_bernstein_spline(coeffs, 3, 1)
+
+
+def test_norm_rejects_infinite_p():
+    with pytest.raises(ValueError, match="finite"):
+        weighted_lp_norm("spline", "phi", 3, 1.0, math.inf)
