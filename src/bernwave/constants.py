@@ -198,7 +198,13 @@ def spline_bernstein_constant(m: int, k: int, h: int = 1, p: float = 2.0) -> flo
         )
     p = float(p)
     ratio = _dirichlet_lambda((m - k) * p) / _dirichlet_lambda(m * p)
-    return (math.pi * h) ** k * ratio ** (1.0 / p)
+    try:
+        c = (math.pi * h) ** k * ratio ** (1.0 / p)
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise ValueError(f"the constant overflows double precision at h={h}, k={k}")
+    return c
 
 
 def spline_wavelet_lower_bound(m: int, k: int) -> float:

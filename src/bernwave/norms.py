@@ -694,13 +694,36 @@ def _periodized_weight_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
     return g
 
 
-@lru_cache(maxsize=4)
-def _chat_basis(n_grid: int, max_len: int = 8):
-    theta = 2.0 * math.pi * np.arange(n_grid) / n_grid
-    return np.exp(-1j * np.outer(np.arange(max_len), theta))
+@lru_cache(maxsize=None)
+def _folded_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
+    """Trapezoid weights on the half grid theta_g, g = 0..n_grid/2, for
+    int_0^{2pi} f G_k when f is even about theta = pi, as |chat|^p is for
+    real coefficients: (2 pi / n_grid) (G_k(theta_g) + G_k(theta_{n_grid-g}))
+    inside, a single G_k value at g = 0 and n_grid/2."""
+    g = _periodized_weight_kernel(m, k, p, n_grid)
+    half = n_grid // 2
+    w = g[: half + 1].copy()
+    w[1:half] += g[:half:-1]
+    return w * (2.0 * math.pi / n_grid)
+
+
+def _symbol_abs_sq(c, n_grid: int):
+    """|chat(theta_g)|^2 on the half grid theta_g = 2 pi g / n_grid,
+    g = 0..n_grid/2, for chat(theta) = sum_j c_j e^{-i j theta} and each row
+    of c: one zero-padded real FFT.  The grid rule is exact at p = 2 only
+    while the length stays within n_grid/2, and a longer row would be
+    cropped, so it is refused."""
+    if c.shape[-1] > n_grid // 2:
+        raise ValueError(
+            f"at most {n_grid // 2} coefficients fit the {n_grid}-point rule, got {c.shape[-1]}"
+        )
+    f = np.fft.rfft(c, n=n_grid)
+    return f.real ** 2 + f.imag ** 2
 
 
 def _coeff_symbol_power(coeffs, p, n_grid=1 << 14):
+    """(|chat|^p on the half grid, scale) for the coefficients divided by
+    scale = max |c_j|, so that nothing overflows or underflows."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficient vector must be one-dimensional and nonempty")
@@ -708,12 +731,8 @@ def _coeff_symbol_power(coeffs, p, n_grid=1 << 14):
         raise ValueError("coefficients must be finite")
     if not c.any():
         raise ValueError("coefficient vector is zero; the inequality has no ratio")
-    if c.size <= 8:
-        chat = c @ _chat_basis(n_grid)[: c.size]
-    else:
-        theta = 2.0 * math.pi * np.arange(n_grid) / n_grid
-        chat = c @ np.exp(-1j * np.outer(np.arange(c.size), theta))
-    return np.abs(chat) ** p
+    scale = float(np.max(np.abs(c)))
+    return _symbol_abs_sq(c / scale, n_grid) ** (0.5 * p), scale
 
 
 def verify_bernstein_spline(
@@ -726,24 +745,29 @@ def verify_bernstein_spline(
     scale with h so that lhs/rhs does not depend on h.
 
     Both sides are computed exactly (up to the 2 pi-periodic trapezoid
-    rule, spectrally accurate here) through the periodized kernel, so a
-    reported violation is a property of the inequality, not of the
-    quadrature."""
+    rule, spectrally accurate here, and exact at p = 2) through the
+    periodized kernel, so a reported violation is a property of the
+    inequality, not of the quadrature.  At most 2^13 coefficients are
+    accepted, and norms that overflow double precision are refused."""
     if not 1 <= k < m:
         raise ValueError("need 1 <= k < m")
     if not (isinstance(h, (int, np.integer)) and h >= 1):
         raise ValueError("h must be a positive integer")
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack!r}")
     bound = spline_bernstein_constant(m, k, h, p)
-    cpow = _coeff_symbol_power(coeffs, p)
-    gk = _periodized_weight_kernel(m, k, p)
-    g0 = _periodized_weight_kernel(m, 0, p)
-    num = float(cpow @ gk) * (2.0 * math.pi) / cpow.size
-    den = float(cpow @ g0) * (2.0 * math.pi) / cpow.size
+    cpow, scale = _coeff_symbol_power(coeffs, p)
+    num = float(cpow @ _folded_kernel(m, k, p))
+    den = float(cpow @ _folded_kernel(m, 0, p))
     hf = float(h)
     # shat(w) = chat(w/h) Nhat_m(w/h) / h; substitute v = w/h in both norms
     lhs = hf ** (k - 1.0 + 1.0 / p) * num ** (1.0 / p)
     rhs = bound * hf ** (1.0 / p - 1.0) * den ** (1.0 / p)
-    return BernsteinCheckResult(m, k, int(h), p, lhs, rhs, lhs / rhs, lhs <= rhs * (1.0 + slack))
+    ratio, ok = lhs / rhs, lhs <= rhs * (1.0 + slack)
+    lhs, rhs = scale * lhs, scale * rhs
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError("the norms overflow double precision; scale the coefficients down")
+    return BernsteinCheckResult(m, k, int(h), p, lhs, rhs, ratio, ok)
 
 
 def bernstein_violation_scan(
@@ -763,23 +787,21 @@ def bernstein_violation_scan(
     repeats the h = 1 comparison: each h is counted in n_checks and
     reported with its violations, but adds no coverage."""
     rng = np.random.default_rng(seed)
-    vecs = []
-    for _ in range(n_vectors):
+    coeffs = np.zeros((n_vectors, max_len))
+    for row in coeffs:
         ln = int(rng.integers(1, max_len + 1))
-        vecs.append(rng.uniform(-1.0, 1.0, size=ln))
+        row[:ln] = rng.uniform(-1.0, 1.0, size=ln)
     n_grid = 1 << 14
-    basis = _chat_basis(n_grid)
-    amp = np.stack([np.abs(v @ basis[: v.size]) for v in vecs])
+    abs_sq = _symbol_abs_sq(coeffs, n_grid)
+    cols = [(m, k) for m in m_values for k in range(m)]
     violations = []
     n_checks = 0
     for p in p_values:
-        cpow = amp ** p
+        kernels = np.stack([_folded_kernel(m, k, p, n_grid) for m, k in cols], axis=1)
+        sums = dict(zip(cols, (abs_sq ** (0.5 * p) @ kernels).T))
         for m in m_values:
-            g0 = _periodized_weight_kernel(m, 0, p, n_grid)
-            den = cpow @ g0
             for k in range(1, m):
-                gk = _periodized_weight_kernel(m, k, p, n_grid)
-                ratio = ((cpow @ gk) / den) ** (1.0 / p)
+                ratio = (sums[m, k] / sums[m, 0]) ** (1.0 / p)
                 # lhs/rhs does not depend on h (verify_bernstein_spline), so
                 # one comparison serves every h of the grid
                 rel = ratio / spline_bernstein_constant(m, k, 1, p)

@@ -1,5 +1,5 @@
 """Shared numerical kernels: adaptive quadrature, bracketed root finding,
-polynomial root isolation in exact arithmetic, and series summation.
+and polynomial root isolation in exact integer arithmetic.
 
 Everything in this module is wavelet-agnostic.  The family modules build on
 these primitives, and the test suite exercises them directly against
@@ -17,31 +17,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "Interval",
     "QuadratureResult",
     "PolynomialReal",
     "adaptive_integrate",
     "find_root_bracketed",
     "poly_real_roots",
     "poly_complex_roots",
-    "sum_alternating_series",
 ]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Nonempty finite interval [a, b]."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise ValueError(f"degenerate interval [{self.a}, {self.b}]")
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
 
 
 @dataclass(frozen=True)
@@ -239,135 +221,132 @@ def _as_fraction_coeffs(coeffs) -> list:
     return out
 
 
-def _poly_eval_frac(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def _primitive(p) -> list:
+    """p divided by the positive gcd of its integer coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _poly_deriv_frac(p):
-    return [i * c for i, c in enumerate(p)][1:] or [Fraction(0)]
+def _pseudo_remainder(a, b) -> list:
+    """Remainder of |lc(b)|^(deg a - deg b + 1) * a on division by b, in
+    integers (Collins' pseudo-remainder with a positive multiplier, so the
+    sign pattern a Sturm sequence relies on is kept)."""
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        q, shift = r[top], top - db
+        r = [lb * x for x in r[:top]]  # the leading coefficient cancels
+        for j in range(db):
+            r[shift + j] -= q * b[j]
+    if lb < 0 and (len(a) - db) % 2:
+        r = [-x for x in r]
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return r
 
 
-def _poly_divmod_frac(num, den):
-    num = num[:]
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    dlead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1] / dlead
-        q[i] = coef
-        for j, dc in enumerate(den):
-            num[i + j] -= coef * dc
-    rem = num[: len(den) - 1]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return q, (rem or [Fraction(0)])
-
-
-def _sturm_chain(p):
-    chain = [p, _poly_deriv_frac(p)]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        _, r = _poly_divmod_frac(chain[-2], chain[-1])
-        if len(r) == 1 and r[0] == 0:
+def _sturm_sequence(p) -> list:
+    """p, p', then the negated pseudo-remainders, each divided by its
+    content.  Every entry is a positive multiple of the classical Sturm
+    polynomial, and the last one is gcd(p, p') up to a constant."""
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not any(r):
             break
-        chain.append([-c for c in r])
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval_frac(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def _squarefree(p):
-    # p / gcd(p, p'), gcd by Euclid over the rationals
-    a, b = p[:], _poly_deriv_frac(p)
-    while not (len(b) == 1 and b[0] == 0):
-        _, r = _poly_divmod_frac(a, b)
-        a, b = b, r
-    if len(a) == 1:  # gcd is a constant: p already squarefree
-        return p
-    q, _ = _poly_divmod_frac(p, a)
+def _exact_quotient(a, b) -> list:
+    """a / b for integer polynomials, b primitive and dividing a."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + len(b) - 1] // b[-1]
+        for j, c in enumerate(b):
+            r[i + j] -= q[i] * c
     return q
+
+
+def _horner(p, num: int, den: int) -> int:
+    """den^deg(p) * p(num / den) by integer Horner; den > 0 keeps the sign."""
+    acc, pw = p[-1], 1
+    for c in p[-2::-1]:
+        pw *= den
+        acc = acc * num + c * pw
+    return acc
+
+
+def _variations(chain, num: int, den: int) -> int:
+    signs = [v > 0 for v in (_horner(q, num, den) for q in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def poly_real_roots(coeffs) -> list:
     """All real roots of a real polynomial, ascending, to near machine precision.
 
-    Roots are isolated with an exact-arithmetic Sturm chain (so no root is
-    missed and none is spurious) and then polished by bisection plus Newton
-    steps on the original polynomial.  Multiple roots are reported once.
+    The exact rational coefficients are scaled to a primitive integer
+    polynomial, reduced to its squarefree part, and the roots are isolated
+    with an integer Sturm sequence (so no root is missed and none is
+    spurious) evaluated at the points B n / 2^e, B the Cauchy bound.  Each
+    root is then bisected on the polynomial alone to relative width 1e-20,
+    so the result is the double nearest the root.  Multiple roots are
+    reported once.
     """
     p = _as_fraction_coeffs(coeffs)
     if len(p) <= 1:
         raise ValueError("constant polynomial has no well-defined root set")
-    p = _squarefree(p)
+    scale = math.lcm(*(c.denominator for c in p))
+    p = _primitive([int(c * scale) for c in p])
+    chain = _sturm_sequence(p)
+    if len(chain[-1]) > 1:  # p and p' share a factor: keep the squarefree part
+        p = _exact_quotient(p, chain[-1])
+        chain = _sturm_sequence(p)
     if len(p) == 2:  # linear
-        return [float(-p[0] / p[1])]
+        return [float(Fraction(-p[0], p[1]))]
 
-    chain = _sturm_chain(p)
-    lead = abs(p[-1])
-    bound = Fraction(1) + max(abs(c) for c in p[:-1]) / lead
+    # interval (lo, hi, e) is (B lo / 2^e, B hi / 2^e) with B = bn / bd
+    bd = abs(p[-1])
+    bn = bd + max(abs(c) for c in p[:-1])
 
-    def count(lo: Fraction, hi: Fraction) -> int:
-        return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    def var(n: int, e: int) -> int:
+        return _variations(chain, bn * n, bd << e)
 
     isolated = []
-    stack = [(-bound, bound)]
+    stack = [(-1, 1, 0, var(-1, 0), var(1, 0))]
     while stack:
-        lo, hi = stack.pop()
-        n = count(lo, hi)
-        if n == 0:
-            continue
+        lo, hi, e, vlo, vhi = stack.pop()
+        n = vlo - vhi  # distinct roots in (lo, hi], a root at hi included
         if n == 1:
-            isolated.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if _poly_eval_frac(p, mid) == 0:
-            isolated.append((mid, mid))
-            eps = (hi - lo) / 4096
-            stack.append((lo, mid - eps))
-            stack.append((mid + eps, hi))
-        else:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+            isolated.append((lo, hi, e))
+        elif n > 1:
+            lo, mid, hi, e = 2 * lo, lo + hi, 2 * hi, e + 1
+            vmid = var(mid, e)
+            stack.append((lo, mid, e, vlo, vmid))
+            stack.append((mid, hi, e, vmid, vhi))
 
-    pf = PolynomialReal([float(c) for c in p])
-    dpf = pf.derivative()
     roots = []
-    for lo, hi in sorted(isolated):
-        if lo == hi:
-            roots.append(float(lo))
-            continue
-        # exact bisection until the bracket is tight enough for Newton
-        flo = _poly_eval_frac(p, lo)
-        for _ in range(90):
-            if hi - lo < Fraction(1, 10**20) * max(1, abs(lo)):
-                break
-            mid = (lo + hi) / 2
-            fmid = _poly_eval_frac(p, mid)
-            if fmid == 0:
+    for lo, hi, e in isolated:
+        # exact bisection to relative width 1e-20 (the scale B / 2^e
+        # cancels), steered by the sign at hi: lo may be a root of the
+        # interval to its left.  The midpoint then rounds to the double
+        # nearest the root; a Newton step in floating point would only add
+        # the rounding of p's values.  0, the first midpoint, is never
+        # inside a bracket, so the relative width always shrinks.
+        v_hi = _horner(p, bn * hi, bd << e)
+        if v_hi == 0:
+            lo = hi
+        while lo < hi and (hi - lo) * 10**20 >= max(abs(lo), abs(hi)):
+            lo, mid, hi, e = 2 * lo, lo + hi, 2 * hi, e + 1
+            v = _horner(p, bn * mid, bd << e)
+            if v == 0:
                 lo = hi = mid
-                break
-            if (flo > 0) == (fmid > 0):
-                lo, flo = mid, fmid
-            else:
+            elif (v > 0) == (v_hi > 0):
                 hi = mid
-        x = float((lo + hi) / 2)
-        for _ in range(4):  # Newton polish in floating point
-            d = dpf(x)
-            if d == 0:
-                break
-            step = pf(x) / d
-            if not math.isfinite(step):
-                break
-            x -= step
-        roots.append(x)
+            else:
+                lo = mid
+        roots.append(float(Fraction(bn * (lo + hi), bd << (e + 1))))
     return sorted(roots)
 
 
@@ -416,108 +395,3 @@ def poly_complex_roots(coeffs) -> list:
         dz = horner(dmon, z)
         z = z - np.where(dz != 0, pz / np.where(dz == 0, 1, dz), 0.0)
     return sorted((complex(v) for v in z), key=lambda v: (v.real, v.imag))
-
-
-# ---------------------------------------------------------------------------
-# series summation
-# ---------------------------------------------------------------------------
-
-
-def _term_block(term, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi)
-    try:
-        t = np.asarray(term(idx), dtype=float)
-        if t.shape != idx.shape:
-            raise ValueError
-        return t
-    except (TypeError, ValueError):
-        return np.array([float(term(int(i))) for i in idx])
-
-
-def _cvz_accelerate(avals: np.ndarray) -> float:
-    # Chebyshev-based acceleration for alternating sums of totally monotone
-    # terms; error shrinks like (3 + sqrt(8))^{-n}.
-    n = len(avals)
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b, c, s = -1.0, -d, 0.0
-    for k in range(n):
-        c = b - c
-        s += c * avals[k]
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return s / d
-
-
-def sum_alternating_series(
-    term: Callable, tol: float = 1e-14, max_terms: int = 30_000_000
-) -> float:
-    """Sum term(0) + term(1) + ... for terms of eventually constant |pattern|.
-
-    Two regimes, chosen by inspecting the leading terms:
-
-    * strictly alternating signs with decreasing magnitude: direct summation
-      with the alternating-series remainder bound; if the bound cannot reach
-      tol in a reasonable number of terms, a certified accelerated
-      evaluation is used instead (two runs at different depths must agree).
-    * all terms of one sign: direct block summation with geometric-ratio
-      extrapolation of the partial-sum tail; stops when two successive
-      extrapolants agree within tol.  This assumes a smoothly decaying
-      (power-law or geometric) tail, which covers every series this package
-      produces.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    probe = [float(term(i)) for i in range(8)]
-    nz = [t for t in probe if t != 0.0]
-    if len(nz) < 2:
-        raise ValueError("cannot classify series from its leading terms")
-    alternating = all(x * y < 0 for x, y in zip(nz, nz[1:]))
-
-    if alternating:
-        # direct pass with the remainder bound
-        s = 0.0
-        comp = 0.0
-        for i in range(200_000):
-            t = float(term(i))
-            y = t - comp
-            tt = s + y
-            comp = (tt - s) - y
-            s = tt
-            if abs(t) <= tol:
-                return s
-        # magnitudes decay too slowly: accelerate
-        sign0 = 1.0 if probe[0] >= 0 else -1.0
-        a = np.abs(_term_block(term, 0, 96))
-        v1 = _cvz_accelerate(a[:72])
-        v2 = _cvz_accelerate(a[:96])
-        if abs(v2 - v1) > max(tol, 1e-15 * abs(v2)):
-            raise RuntimeError("accelerated alternating sum failed to stabilise")
-        return sign0 * v2
-
-    # same-sign branch
-    s = 0.0
-    n = 0
-    nxt = 64
-    snapshots = []
-    prev_extrap = None
-    while n < max_terms:
-        block = _term_block(term, n, nxt)
-        s = math.fsum((s, float(np.sum(block))))
-        n = nxt
-        nxt *= 2
-        snapshots.append(s)
-        if len(snapshots) >= 3:
-            s0, s1, s2 = snapshots[-3:]
-            d1, d2 = s1 - s0, s2 - s1
-            if d2 == 0.0:
-                return s2
-            if d1 != 0.0:
-                r = d2 / d1
-                if 0.0 < r < 0.995:
-                    e = s2 + d2 * r / (1.0 - r)
-                    if prev_extrap is not None and abs(e - prev_extrap) <= 0.5 * tol * max(
-                        1.0, abs(e)
-                    ):
-                        return e
-                    prev_extrap = e
-    raise RuntimeError(f"series did not converge within {max_terms} terms")

@@ -1,8 +1,12 @@
+import contextlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernwave.cli import main
 
@@ -272,6 +276,10 @@ def _one_line_refusal(capsys, argv, code):
     ["mask", "--family", "daubechies", "--m", "0"],
     ["constants", "--j-max", "-3"],
     ["ckp", "--family", "spline", "--part", "psi", "--m", "3", "--k", "1", "--p", "inf"],
+    ["bernstein", "--coeffs", " ".join(["1"] * 8193), "--m", "3", "--k", "1"],
+    ["bernstein", "--coeffs", "1 2", "--m", "40", "--k", "39", "--h", "10000000000"],
+    ["bernstein", "--coeffs", "1e300 2", "--m", "40", "--k", "39"],
+    ["bernstein", "--coeffs", "1 2", "--m", "3", "--k", "1", "--slack", "nan"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     err = _one_line_refusal(capsys, argv, 2)
@@ -282,3 +290,55 @@ def test_over_budget_ckp_exits_one_with_one_line(capsys):
     err = _one_line_refusal(capsys, ["ckp", "--family", "daubechies", "--part", "phi", "--m", "6",
                                      "--k", "1", "--p", "1.5", "--tol", "1e-6"], 1)
     assert "node budget" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "5e-324", "abc", "0x1p3", "--", "1,,2", "\t", "1_0", "+", "e5"]),
+)
+
+
+def _mostly(valid, wild):
+    # one draw in eight from the wild strategy
+    return st.integers(0, 7).flatmap(lambda i: wild if i == 0 else valid)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    m=_mostly(st.integers(2, 40), st.integers(-2, 44)),
+    h=_mostly(st.integers(1, 3), st.one_of(st.integers(-2, 0), st.integers(10**6, 10**400))),
+    p=_mostly(st.one_of(st.sampled_from([1.25, 2.0, 3.0, 6.0]), st.floats(1.01, 20.0)), st.floats()),
+    slack=_mostly(st.sampled_from([1e-6, 0.0, -0.5, -0.9]), st.floats()),
+    n_numbers=_mostly(st.one_of(st.integers(1, 70), st.just(8192)), st.sampled_from([0, 8193])),
+    magnitude=st.sampled_from([1.0, 1e-310, 1e200, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+    tokens=_mostly(st.just([]), st.lists(_TOKENS, min_size=1, max_size=4)),
+    sep=st.sampled_from([" ", ",", "\n", ", "]),
+)
+def test_bernstein_cli_never_crashes(data, m, h, p, slack, n_numbers, magnitude, seed, tokens, sep):
+    # any m, k, h, p, slack and coefficient text: exit 0 or 1 with a strict JSON
+    # envelope of finite numbers, or exit 2 with one line on stderr
+    k = data.draw(_mostly(st.integers(1, max(1, m - 1)), st.integers(-2, 44)), label="k")
+    numbers = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n_numbers) * magnitude
+    text = sep.join([repr(float(x)) for x in numbers] + tokens)
+    argv = ["bernstein", f"--m={m}", f"--k={k}", f"--h={h}", f"--p={p!r}", f"--slack={slack!r}",
+            f"--coeffs={text}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("bernwave bernstein: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
+        row = json.loads(out.getvalue(), parse_constant=_reject_constant)["results"][0]
+        assert row["ok"] is (code == 0)
+        assert all(math.isfinite(row[key]) for key in ("lhs", "rhs", "lhs_over_rhs"))

@@ -18,6 +18,7 @@ from bernwave.norms import (
     bernstein_violation_scan,
     ckp,
     coefficient_bound_check,
+    _coeff_symbol_power,
     _periodized_weight_kernel,
     fejer_extremal_ratio,
     richardson_extrapolate,
@@ -225,6 +226,66 @@ def test_violation_scan_frozen():
     # the constant is the supremum over all coefficient vectors, so no
     # finite vector exceeds it at any (m, k, h, p) of the scan
     assert violations == []
+
+
+def test_violation_scan_worst_ratio_frozen():
+    # with slack = -1 every check is reported, so the largest reported
+    # lhs/rhs is the scan's worst ratio
+    n_checks, everything = bernstein_violation_scan(slack=-1.0)
+    assert n_checks == len(everything) == 45000
+    assert max(v[5] for v in everything) == pytest.approx(0.9205154970828258, rel=1e-12)
+
+
+def test_coeff_symbol_equals_explicit_sum():
+    # |sum_j c_j e^{-i j theta}| on the half grid theta_g = 2 pi g / N
+    n_grid = 1 << 14
+    theta = 2.0 * math.pi * np.arange(n_grid // 2 + 1) / n_grid
+    rng = np.random.default_rng(3)
+    for n in range(1, 65):
+        c = rng.uniform(-1.0, 1.0, size=n)
+        explicit = np.abs(np.exp(-1j * np.outer(theta, np.arange(n))) @ c)
+        values, scale = _coeff_symbol_power(c, 1.0)
+        np.testing.assert_allclose(scale * values, explicit, rtol=0, atol=1e-13, err_msg=str(n))
+
+
+def _gram_sum(c, m, k):
+    """|| w^k shat ||_2^2 for s = sum_j c_j N_m(x - j): the Gram sum
+    sum_{i,j} c_i c_j (-1)^k N_{2m}^{(2k)}(m + i - j), the B-spline
+    derivative taken exactly from its truncated-power form."""
+    n, e = 2 * m, 2 * m - 1 - 2 * k
+
+    def d2k(x):
+        s = sum((-1) ** i * math.comb(n, i) * (x - i) ** e for i in range(min(n, x - 1) + 1))
+        return float((-1) ** k * Fraction(s, math.factorial(e)))
+
+    corr = np.correlate(c, c, mode="full")
+    mid = c.size - 1
+    return sum(corr[mid + d] * d2k(m + d) for d in range(1 - m, m))
+
+
+@pytest.mark.parametrize("m, k", [(4, 1), (6, 3)])
+def test_verify_bernstein_longest_vector_is_exact_at_p2(m, k):
+    # the 2^14-point rule integrates |chat|^2 G_k exactly while the
+    # coefficient count stays within 2^13
+    c = np.random.default_rng(11).uniform(-1.0, 1.0, size=8192)
+    r = verify_bernstein_spline(c, m, k, p=2.0)
+    assert r.lhs == pytest.approx(math.sqrt(_gram_sum(c, m, k)), rel=1e-12)
+    assert r.rhs == pytest.approx(spline_bernstein_constant(m, k) * math.sqrt(_gram_sum(c, m, 0)), rel=1e-12)
+    with pytest.raises(ValueError, match="at most 8192 coefficients"):
+        verify_bernstein_spline(np.append(c, 0.5), m, k, p=2.0)
+
+
+def test_verify_bernstein_is_scale_free():
+    # the coefficients are scaled to max |c_j| = 1 inside, so huge and
+    # subnormal vectors give the same ratio; norms past double range refuse
+    c = np.array([0.3, 1.0, -0.2, 0.5])
+    ref = verify_bernstein_spline(c, 40, 39, p=3.0)
+    for s in (1e280, 1e-310):
+        r = verify_bernstein_spline(c * s, 40, 39, p=3.0)
+        assert r.ratio == pytest.approx(ref.ratio, rel=1e-12)
+        assert r.lhs == pytest.approx(ref.lhs * s, rel=1e-12)
+    with pytest.raises(ValueError, match="overflow"):
+        verify_bernstein_spline(c * 1e300, 40, 39, p=3.0)
 
 
 def test_verify_bernstein_reproduces_scan_violation():

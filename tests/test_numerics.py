@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +10,8 @@ from bernwave.numerics import (
     find_root_bracketed,
     poly_complex_roots,
     poly_real_roots,
-    sum_alternating_series,
 )
+from bernwave.splines import euler_frobenius
 
 
 def test_adaptive_integrate_sin():
@@ -76,6 +77,13 @@ def test_poly_real_roots_close_pair():
     assert roots[1] - roots[0] == pytest.approx(1e-7, rel=0.1)
 
 
+def test_poly_real_roots_at_bisection_points():
+    # x (10x - 3) (2x + 1)^2 (x + 5): 0 is the first bisection point and the
+    # bracket to its right starts at a root; -1/2 is a double root
+    coeffs = [0, -15, -13, 138, 228, 40]
+    assert poly_real_roots(coeffs) == [-5.0, -0.5, 0.0, 0.3]
+
+
 def test_poly_complex_roots_quadratic():
     roots = poly_complex_roots([1.0, 0.0, 1.0])
     np.testing.assert_allclose(roots, [-1j, 1j], atol=1e-12)
@@ -96,17 +104,15 @@ def test_polynomial_real_eval_and_derivative():
     assert dp.coeffs == (0.0, -6.0, 6.0)
 
 
-def test_alternating_series_log2():
-    s = sum_alternating_series(lambda n: (-1.0) ** n / (n + 1.0), tol=1e-13)
-    assert abs(s - math.log(2.0)) < 1e-12
-
-
-def test_alternating_series_leibniz():
-    # slowly converging: forces the accelerated path
-    s = sum_alternating_series(lambda n: (-1.0) ** n / (2.0 * n + 1.0), tol=1e-12)
-    assert abs(s - math.pi / 4.0) < 1e-11
-
-
-def test_same_sign_series_geometric():
-    s = sum_alternating_series(lambda n: 0.5 ** n, tol=1e-13)
-    assert abs(s - 2.0) < 1e-12
+@pytest.mark.parametrize("m", range(2, 16))
+def test_euler_frobenius_roots_match_mpmath(m):
+    # an independent reference: mpmath's simultaneous iteration at 30 digits
+    coeffs = euler_frobenius(m)
+    with mpmath.workdps(30):
+        ref = mpmath.polyroots(coeffs[::-1], maxsteps=100, extraprec=30)
+    assert max(abs(z.imag) for z in ref) < 1e-25
+    roots = poly_real_roots(coeffs)
+    n = 2 * m - 2
+    assert len(roots) == n
+    np.testing.assert_allclose(roots, sorted(float(z.real) for z in ref), rtol=1e-13, atol=0)
+    assert max(abs(roots[i] * roots[n - 1 - i] - 1.0) for i in range(n)) < 1e-13
