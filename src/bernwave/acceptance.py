@@ -63,27 +63,32 @@ class CriterionResult:
 
 
 def _c1_printed_constants() -> Tuple[bool, str]:
-    sc = spline_constants()
-    gap = 2.0 * math.pi - 4.0 * sc.xi2
+    computed = {
+        **spline_constants().as_dict(),
+        "fixed_k_ratio": predict_rate("fixedKRatio"),
+        "geom_ratio": predict_rate("geomRatio"),
+        "phi_psi_mix": predict_limit("phiPsiRatioSpline"),
+    }
     table = [
-        # (label, computed, printed value, printed decimals)
-        ("xi1", sc.xi1, 1.1655, 4),
-        ("lam1", sc.lam1, 0.72461, 5),
-        ("Lam1", sc.Lam1, 0.81597, 5),
-        ("xi2", sc.xi2, 0.2853, 4),
-        ("lam2", sc.lam2, 0.69706, 5),
-        ("Lam2", sc.Lam2, 1.2229, 4),
-        ("two_xi1", 2.0 * sc.xi1, 2.331, 3),
-        ("psi_peak_scale", gap, 5.1419, 4),
-        ("fixed_k_ratio", math.pi / gap, 0.61098, 5),
-        ("geom_ratio", 32.0 / (sc.lam2 * math.pi ** 4), 0.47128, 5),
-        ("phi_psi_mix", math.sqrt(sc.lam1 / (sc.xi1 * sc.lam2 ** 2)), 1.1311, 4),
+        # (label, printed value, printed decimals)
+        ("xi1", 1.1655, 4),
+        ("lam1", 0.72461, 5),
+        ("Lam1", 0.81597, 5),
+        ("xi2", 0.2853, 4),
+        ("lam2", 0.69706, 5),
+        ("Lam2", 1.2229, 4),
+        ("two_xi1", 2.331, 3),
+        ("psi_peak_scale", 5.1419, 4),
+        ("fixed_k_ratio", 0.61098, 5),
+        ("geom_ratio", 0.47128, 5),
+        ("phi_psi_mix", 1.1311, 4),
     ]
     bad = []
-    for label, computed, printed, dec in table:
-        if abs(computed - printed) > 10.0 ** (-dec):
-            bad.append(f"{label}: computed {computed:.10f} vs printed {printed} "
-                       f"(gap {abs(computed - printed):.1e} > 1e-{dec})")
+    for label, printed, dec in table:
+        value = computed[label]
+        if abs(value - printed) > 10.0 ** (-dec):
+            bad.append(f"{label}: computed {value:.10f} vs printed {printed} "
+                       f"(gap {abs(value - printed):.1e} > 1e-{dec})")
     detail = f"{len(table) - len(bad)}/{len(table)} constants within printed digits"
     if bad:
         detail += "; " + "; ".join(bad)
@@ -99,7 +104,7 @@ def _c2_favard() -> Tuple[bool, str]:
     exact = [1.0, math.pi / 2.0, math.pi ** 2 / 8.0, math.pi ** 3 / 24.0]
     errs = [abs(favard(j) - exact[j]) for j in range(4)]
     ok = all(e <= 1e-12 for e in errs)
-    tab = favard_table(200).as_array()
+    tab = favard_table(200)
     lim = 4.0 / math.pi
     evens, odds = tab[0::2], tab[1::2]
     # evens rise to 4/pi, odds fall to it; strict until double precision

@@ -33,11 +33,20 @@ from . import __version__
 from . import daubechies as _daub
 from . import splines as _spl
 from .acceptance import CRITERION_NAMES, run_all
-from .constants import favard, predict_limit, spline_bernstein_constant, spline_constants
-from .norms import asymptotic_sweep, bernstein_violation_scan, ckp, fejer_extremal_ratio, verify_bernstein_spline
+from .constants import favard, predict_limit, predict_rate, spline_bernstein_constant, spline_constants
+from .norms import (
+    SPLINE_ORDER_LIMIT,
+    asymptotic_sweep,
+    bernstein_violation_scan,
+    ckp,
+    fejer_extremal_ratio,
+    verify_bernstein_spline,
+)
 from .tensor import tensor_ckp, tensor_limit, tensor_lower_bound
 
 _FAMILIES = ("spline", "daubechies")
+# largest Favard index `constants` lists; every K_j past j ~ 60 rounds to 4/pi
+FAVARD_J_LIMIT = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +97,16 @@ def _int_list(text: str) -> List[int]:
 
 def _cmd_constants(args) -> int:
     t0 = time.perf_counter()
-    if args.j_max < 0:
-        raise ValueError(f"--j-max must be nonnegative, got {args.j_max}")
+    if not 0 <= args.j_max <= FAVARD_J_LIMIT:
+        raise ValueError(f"--j-max must be in [0, {FAVARD_J_LIMIT}], got {args.j_max}")
     rows = []
     if args.set in ("spline", "all"):
         sc = spline_constants()
         derived = {
-            "fixed_k_ratio": math.pi / (2.0 * math.pi - 4.0 * sc.xi2),
-            "spline_geom_rate": 16.0 / (sc.lam2 * math.pi ** 4),
-            "geom_ratio": 32.0 / (sc.lam2 * math.pi ** 4),
-            "phi_psi_mix": math.sqrt(sc.lam1 / (sc.xi1 * sc.lam2 ** 2)),
+            "fixed_k_ratio": predict_rate("fixedKRatio"),
+            "spline_geom_rate": predict_rate("splineGeom"),
+            "geom_ratio": predict_rate("geomRatio"),
+            "phi_psi_mix": predict_limit("phiPsiRatioSpline"),
             "spline_phi_limit_k1": predict_limit("splinePhiK", k=1),
             "spline_psi_limit_k1": predict_limit("splinePsiK", k=1),
         }
@@ -114,6 +123,8 @@ def _cmd_mask(args) -> int:
     t0 = time.perf_counter()
     if args.m < 1:
         raise ValueError(f"order must be a positive integer, got {args.m}")
+    if args.family == "spline" and args.m > SPLINE_ORDER_LIMIT:
+        raise ValueError(f"spline masks are limited to m <= {SPLINE_ORDER_LIMIT}, got {args.m}")
     if args.family == "daubechies":
         h = [float(x) for x in np.asarray(_daub.daub_mask(args.m), dtype=float)]
         if args.part == "phi":

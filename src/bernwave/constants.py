@@ -21,7 +21,6 @@ from scipy.special import zeta as _zeta
 from .numerics import find_root_bracketed
 
 __all__ = [
-    "FavardTable",
     "favard",
     "favard_table",
     "SplineProfileConstants",
@@ -49,9 +48,12 @@ def favard(j: int) -> float:
     """Favard constant K_j.
 
     K_0 = 1; odd j via the Dirichlet lambda function
-    (4/pi)(1 - 2^{-(j+1)}) zeta(j+1); even j >= 2 via the Hurwitz-zeta
-    difference (4/pi) 4^{-(j+1)} (zeta(j+1, 1/4) - zeta(j+1, 3/4)).
-    Absolute accuracy is a few ulp for every j up to several hundred.
+    (4/pi)(1 - 2^{-(j+1)}) zeta(j+1); even j >= 2 via the Dirichlet beta
+    function (4/pi) beta(j+1), beta(s) = 1 - 3^{-s} + 5^{-s} - ...  The
+    terms from 5^{-s} on are summed as 4^{-s} (zeta(s, 5/4) - zeta(s, 7/4)),
+    where every factor is at most 1: the classical 4^{-s} (zeta(s, 1/4) -
+    zeta(s, 3/4)) overflows to inf, then nan, from j = 512 on.  Accuracy is
+    a few ulp at every j.
     """
     if not isinstance(j, (int, np.integer)) or j < 0:
         raise ValueError(f"Favard index must be a nonnegative integer, got {j!r}")
@@ -60,31 +62,14 @@ def favard(j: int) -> float:
     s = j + 1
     if j % 2 == 1:
         return _FOUR_OVER_PI * _dirichlet_lambda(s)
-    return _FOUR_OVER_PI * 4.0 ** (-s) * float(_zeta(s, 0.25) - _zeta(s, 0.75))
+    return _FOUR_OVER_PI * (1.0 - 3.0 ** (-s) + 4.0 ** (-s) * float(_zeta(s, 1.25) - _zeta(s, 1.75)))
 
 
-@dataclass(frozen=True)
-class FavardTable:
-    """K_0 .. K_{j_max} as a dense array."""
-
-    j_max: int
-    values: tuple
-
-    @classmethod
-    def build(cls, j_max: int = 200) -> "FavardTable":
-        if j_max < 0:
-            raise ValueError("j_max must be nonnegative")
-        return cls(j_max, tuple(favard(j) for j in range(j_max + 1)))
-
-    def __getitem__(self, j: int) -> float:
-        return self.values[j]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values)
-
-
-def favard_table(j_max: int = 200) -> FavardTable:
-    return FavardTable.build(j_max)
+def favard_table(j_max: int = 200) -> np.ndarray:
+    """K_0 .. K_{j_max} as an array."""
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
+    return np.array([favard(j) for j in range(j_max + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.special import comb as _comb, gammaln as _gammaln
 
-from .numerics import adaptive_integrate, poly_complex_roots
+from .numerics import poly_complex_roots
 from .splines import _log_abs_sinc
 
 __all__ = [
@@ -80,24 +80,9 @@ def _log_symbol_squared(m: int, w: np.ndarray) -> np.ndarray:
         return m * np.log(c2) + np.log(P)
 
 
-def daub_symbol_squared(m: int, omega, form: str = "poly"):
-    """Squared symbol |a(w)|^2 of the order-m mask.
-
-    form="poly" evaluates cos^{2m}(w/2) P(sin^2(w/2)); form="integral"
-    evaluates 1 - c_m * integral_0^w sin^{2m-1}(t) dt (scalar w only), which
-    is the same function and is used as a cross-check.
-    """
+def daub_symbol_squared(m: int, omega):
+    """Squared symbol |a(w)|^2 = cos^{2m}(w/2) P(sin^2(w/2)) of the order-m mask."""
     _check_order(m)
-    if form == "integral":
-        w = float(omega)
-        wr = math.remainder(w, 2.0 * math.pi)  # periodic reduction
-        sgn = 1.0 if wr >= 0 else -1.0
-        q = adaptive_integrate(
-            lambda t: np.sin(t) ** (2 * m - 1), 0.0, abs(wr) + 1e-300, tol=1e-13
-        )
-        return 1.0 - binomial_tail_constant(m) * sgn * q.value
-    if form != "poly":
-        raise ValueError(f"unknown form {form!r}")
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)

@@ -4,11 +4,14 @@ derivative-inequality verifier for spline expansions, Fejer-kernel
 near-extremal ratios, asymptotic sweeps with Richardson extrapolation,
 and a directly checkable wavelet-coefficient bound.
 
-The quadrature strategy is the same for both families: integrate
-w^{alpha*p} |fhat(w)|^p over (0, Omega) with composite Gauss-Legendre
-panels aligned to multiples of pi (all kinks of |sin|^q live there), a
-dyadic stack of panels toward w = 0, and a rigorous bound on the tail
-beyond Omega.  Spline transforms have elementary envelopes, so their
+One quadrature engine serves every integral here: composite
+Gauss-Legendre panels (GL15 value, GL7 check) that split where the two
+disagree.  For a norm it integrates w^{alpha*p} |fhat(w)|^p over
+(0, Omega) on panels aligned to multiples of pi (all kinks of |sin|^q
+live there) with a dyadic stack toward w = 0, and a rigorous bound on the
+tail beyond Omega is added.  The coefficient bound's real-line integrals
+run on the same engine in a doubling window, with an absolute floor for
+the signed ones.  Spline transforms have elementary envelopes, so their
 tails are closed-form.  For the orthonormal family the tail comes from a
 certified symbol-product estimate: |phihat(w)|^2 equals
 (2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j) with B >= 1 a fixed
@@ -34,7 +37,6 @@ from .constants import (
     predict_rate,
     spline_bernstein_constant,
 )
-from .numerics import adaptive_integrate
 
 __all__ = [
     "WeightedNormQuery",
@@ -260,10 +262,12 @@ def _gl_on_panels(f, lo, hi):
     return i15, np.abs(i15 - i7)
 
 
-def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, max_rounds=24):
-    """Integrate f (vectorized, nonnegative) over the panels defined by
-    `edges`, splitting the panels whose GL15-vs-GL7 discrepancy dominates
-    until the summed discrepancy is below rel_tol * integral.
+def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, max_rounds=24, abs_floor=0.0):
+    """Integrate f (vectorized, real) over the panels defined by `edges`,
+    splitting the panels whose GL15-vs-GL7 discrepancy dominates until the
+    summed discrepancy is below rel_tol * |integral| + abs_floor.  The norms
+    integrate nonnegative functions with abs_floor = 0; a signed integral
+    that may vanish needs the floor.
 
     Returns (integral, error_estimate, n_panels)."""
     lo = np.asarray(edges[:-1], dtype=float)
@@ -275,7 +279,7 @@ def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, max_rounds
     for _ in range(max_rounds):
         total = float(vals.sum())
         err = float(errs.sum())
-        target = rel_tol * abs(total)
+        target = rel_tol * abs(total) + abs_floor
         if err <= target or total == 0.0:
             return total, err, lo.size
         mask = errs > target / lo.size
@@ -297,7 +301,7 @@ def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, max_rounds
         errs = np.concatenate([errs[~mask], serrs])
     total = float(vals.sum())
     err = float(errs.sum())
-    if err > 4.0 * rel_tol * abs(total):
+    if err > 4.0 * (rel_tol * abs(total) + abs_floor):
         raise RuntimeError("panel refinement failed to converge")
     return total, err, lo.size
 
@@ -860,25 +864,24 @@ def vanishing_moment_order(family: str, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_real_line(f, tol, omega0=32.0, scale=None):
-    """Integrate a decaying function over R by doubling the symmetric
-    window until the increment is negligible.
+def _real_line_integral(f, tol, scale=0.0):
+    """Integrate a decaying function over R: 16 panels on the window
+    [-32, 32], then shells [-2 omega, -omega] and [omega, 2 omega] of 4
+    panels each, doubling omega until a shell adds a negligible amount.
 
-    `scale` sets the size against which convergence is judged; without it
-    the integral's own magnitude is used, which never terminates when the
-    true value is zero (an odd integrand, say) -- callers integrating a
-    signed quantity should pass the scale of the unsigned mass instead.
-    """
-    omega = omega0
-    ref = 0.0 if scale is None else abs(scale)
-    val = adaptive_integrate(f, -omega, omega, tol=tol, abs_floor=tol * ref).value
+    Convergence is judged against max(|integral|, scale).  The integral's
+    own magnitude alone never settles when the true value is zero (an odd
+    integrand, say), so a caller integrating a signed quantity passes the
+    scale of the unsigned mass."""
+    omega = 32.0
+    val = _composite_integrate(f, np.linspace(-omega, omega, 17), tol, abs_floor=tol * scale)[0]
     for _ in range(12):
-        floor = tol * max(abs(val), ref) + 1e-300
-        lo = adaptive_integrate(f, -2.0 * omega, -omega, tol=10 * tol, abs_floor=floor).value
-        hi = adaptive_integrate(f, omega, 2.0 * omega, tol=10 * tol, abs_floor=floor).value
+        floor = tol * max(abs(val), scale) + 1e-300
+        lo = _composite_integrate(f, np.linspace(-2.0 * omega, -omega, 5), 10 * tol, abs_floor=floor)[0]
+        hi = _composite_integrate(f, np.linspace(omega, 2.0 * omega, 5), 10 * tol, abs_floor=floor)[0]
         val += lo + hi
         omega *= 2.0
-        if abs(lo) + abs(hi) <= 4.0 * tol * max(abs(val), ref) + 1e-300:
+        if abs(lo) + abs(hi) <= 4.0 * tol * max(abs(val), scale) + 1e-300:
             return val
     raise RuntimeError("real-line integral did not settle under window doubling")
 
@@ -916,15 +919,15 @@ def coefficient_bound_check(
 
     # unsigned mass of the coefficient integrand: the scale that makes the
     # signed re/im integrals well-posed even when symmetry kills one of them
-    mass = _adaptive_real_line(
+    mass = _real_line_integral(
         lambda w: 2.0 ** (-0.5 * j) * np.abs(fhat(w)) * np.abs(psihat(two_j * w)), tol
     )
-    re = _adaptive_real_line(inner_re, tol, scale=mass)
-    im = _adaptive_real_line(inner_im, tol, scale=mass)
+    re = _real_line_integral(inner_re, tol, scale=mass)
+    im = _real_line_integral(inner_im, tol, scale=mass)
     lhs = math.hypot(re, im)
 
     fw = lambda w: np.abs(w) ** (k * q) * np.abs(fhat(w)) ** q
-    f_weight = _adaptive_real_line(fw, tol) ** (1.0 / q)
+    f_weight = _real_line_integral(fw, tol) ** (1.0 / q)
 
     const = ckp(family, "psi", m, k, p, tol=max(tol, 1e-10))
     stated = const.ratio * 2.0 ** (-j * (k + 1.0 / p - 0.5)) * const.denominator * f_weight
@@ -949,20 +952,35 @@ def richardson_extrapolate(m_values: Sequence[float], values: Sequence[float], e
     v1, v2 = float(values[-2]), float(values[-1])
     return (v2 * s1 - v1 * s2) / (s1 - s2)
 
-_NORM_SWEEP_ALPHA = {
+
+# norm targets: (family, part, sign of the weight exponent alpha = sign * k)
+_NORM_SWEEPS = {
     "splinePhiNorm": ("spline", "phi", -1),
     "splinePsiNorm": ("spline", "psi", -1),
-    "splineDiagNorm": ("spline", "psi", None),   # alpha = -m
+    "splineDiagNorm": ("spline", "psi", -1),
     "daubPhiNorm": ("daubechies", "phi", +1),
     "daubPsiNorm": ("daubechies", "psi", -1),
 }
 
-_LIMIT_SWEEP = {
+# limit targets: (family, part) of the ckp ratio
+_LIMIT_SWEEPS = {
     "daubPhiMinusK": ("daubechies", "phi"),
     "daubPsiK": ("daubechies", "psi"),
     "splinePhiK": ("spline", "phi"),
     "splinePsiK": ("spline", "psi"),
 }
+
+# rate targets: (default grid, numerator family, denominator family or None)
+# of the wavelet ckp ratio, whose k-th root is measured
+_RATE_SWEEPS = {
+    "splineGeom": ("spline_rate", "spline", None),
+    "daubGeom": ("daub_rate", "daubechies", None),
+    "geomRatio": ("daub_rate", "spline", "daubechies"),
+    "fixedKRatio": ("daub_rate", "spline", "daubechies"),
+}
+
+# targets whose weight index is tied to the order: k = m
+_DIAGONAL_SWEEPS = {"splineDiagNorm", "splineGeom", "daubGeom", "geomRatio"}
 
 _DEFAULT_GRIDS = {
     "spline": (5, 10, 15, 20, 25, 30, 35, 40),
@@ -985,57 +1003,36 @@ def asymptotic_sweep(
     Norm targets compare weighted_lp_norm against predict_norm_leading
     (per-m predictions); limit targets compare ckp ratios against the
     fixed predict_limit value; rate targets compare per-order roots of
-    diagonal constants against predict_rate.  The report carries
-    pointwise relative errors, a log-log decay fit of those errors, and
-    the m^{-1/2}-Richardson extrapolant of the measured sequence.
+    wavelet constants (diagonal k = m, or fixed k for fixedKRatio) against
+    predict_rate.  The report carries pointwise relative errors, a log-log
+    decay fit of those errors, and the m^{-1/2}-Richardson extrapolant of
+    the measured sequence (of measured / predicted for norm targets).
     """
-    if target in _NORM_SWEEP_ALPHA:
-        family, part, sgn = _NORM_SWEEP_ALPHA[target]
+    index = (lambda m: m) if target in _DIAGONAL_SWEEPS else (lambda m: k)  # weight index k at order m
+    if target in _NORM_SWEEPS:
+        family, part, sign = _NORM_SWEEPS[target]
         grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS[family]
-        measured, predicted = [], []
-        for m in grid:
-            alpha = -float(m) if sgn is None else sgn * float(k)
-            measured.append(weighted_lp_norm(family, part, m, alpha, p, tol).value)
-            if target == "splineDiagNorm":
-                predicted.append(predict_norm_leading(target, m=m, p=p))
-            else:
-                predicted.append(predict_norm_leading(target, m=m, k=k, p=p))
+        predicted = [predict_norm_leading(target, m=m, k=index(m), p=p) for m in grid]
+        measured = [weighted_lp_norm(family, part, m, sign * float(index(m)), p, tol).value for m in grid]
         rich = richardson_extrapolate(grid, [ms / ps for ms, ps in zip(measured, predicted)])
-    elif target in _LIMIT_SWEEP:
-        family, part = _LIMIT_SWEEP[target]
+    elif target in _LIMIT_SWEEPS:
+        family, part = _LIMIT_SWEEPS[target]
         grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS[family]
+        predicted = [predict_limit(target, k=k, p=p)] * len(grid)
         measured = [ckp(family, part, m, k, p, tol).ratio for m in grid]
-        if target == "daubPhiMinusK":
-            lim = predict_limit(target, k=k, p=p)
-        elif target == "daubPsiK":
-            lim = predict_limit(target, k=k, p=p)
-        else:
-            lim = predict_limit(target, k=k)
-        predicted = [lim] * len(grid)
         rich = richardson_extrapolate(grid, measured)
-    elif target in ("splineGeom", "daubGeom", "geomRatio", "fixedKRatio"):
-        if target == "splineGeom":
-            grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS["spline_rate"]
-            measured = [ckp("spline", "psi", m, m, p, tol).ratio ** (1.0 / m) for m in grid]
-        elif target == "daubGeom":
-            grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS["daub_rate"]
-            measured = [ckp("daubechies", "psi", m, m, p, tol).ratio ** (1.0 / m) for m in grid]
-        elif target == "geomRatio":
-            grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS["daub_rate"]
-            measured = [
-                (ckp("spline", "psi", m, m, p, tol).ratio / ckp("daubechies", "psi", m, m, p, tol).ratio)
-                ** (1.0 / m)
-                for m in grid
-            ]
-        else:
-            grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS["daub_rate"]
-            measured = [
-                (ckp("spline", "psi", m, k, p, tol).ratio / ckp("daubechies", "psi", m, k, p, tol).ratio)
-                ** (1.0 / k)
-                for m in grid
-            ]
-        lim = predict_rate(target)
-        predicted = [lim] * len(grid)
+    elif target in _RATE_SWEEPS:
+        grid_key, num, den = _RATE_SWEEPS[target]
+        grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS[grid_key]
+
+        def rate(m):
+            r = ckp(num, "psi", m, index(m), p, tol).ratio
+            if den is not None:
+                r /= ckp(den, "psi", m, index(m), p, tol).ratio
+            return r ** (1.0 / index(m))
+
+        predicted = [predict_rate(target)] * len(grid)
+        measured = [rate(m) for m in grid]
         rich = richardson_extrapolate(grid, measured)
     else:
         raise ValueError(f"unknown sweep target {target!r}")

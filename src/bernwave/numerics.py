@@ -1,157 +1,24 @@
-"""Shared numerical kernels: adaptive quadrature, bracketed root finding,
-and polynomial root isolation in exact integer arithmetic.
+"""Shared numerical kernels: bracketed root finding and polynomial roots,
+the real ones isolated in exact integer arithmetic.
 
 Everything in this module is wavelet-agnostic.  The family modules build on
 these primitives, and the test suite exercises them directly against
-elementary closed forms.
+elementary closed forms.  Quadrature lives with its only user, norms.py.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "QuadratureResult",
-    "PolynomialReal",
-    "adaptive_integrate",
     "find_root_bracketed",
     "poly_real_roots",
     "poly_complex_roots",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    panels: int
-
-
-class PolynomialReal:
-    """Dense real polynomial with coefficients in ascending degree order."""
-
-    def __init__(self, coeffs: Sequence[float]):
-        c = [float(x) for x in coeffs]
-        while len(c) > 1 and c[-1] == 0.0:
-            c.pop()
-        self.coeffs = tuple(c) if c else (0.0,)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "PolynomialReal":
-        if self.degree == 0:
-            return PolynomialReal([0.0])
-        return PolynomialReal([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __repr__(self):
-        return f"PolynomialReal({list(self.coeffs)!r})"
-
-
-# ---------------------------------------------------------------------------
-# adaptive quadrature: nested Gauss-Legendre 7/15 pair, worst panel first
-# ---------------------------------------------------------------------------
-
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
-
-
-def _eval_vec(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop if needed."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise ValueError
-        return y
-    except (TypeError, ValueError):
-        return np.array([float(f(float(xi))) for xi in x])
-
-
-def _panel_pair(f, a: float, b: float):
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y15 = _eval_vec(f, mid + h * _GL15_X)
-    i15 = h * float(np.dot(_GL15_W, y15))
-    y7 = _eval_vec(f, mid + h * _GL7_X)
-    i7 = h * float(np.dot(_GL7_W, y7))
-    return i15, abs(i15 - i7)
-
-
-def adaptive_integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    budget: int = 100_000,
-    breakpoints: Optional[Sequence[float]] = None,
-    abs_floor: Optional[float] = None,
-) -> QuadratureResult:
-    """Integrate f over [a, b] by adaptive bisection of the worst panel.
-
-    Each panel is estimated with a nested Gauss-Legendre 7/15 pair; the
-    error indicator is |I15 - I7| summed over panels.  Refinement stops once
-    the indicator drops below tol * |integral| + abs_floor; abs_floor
-    defaults to tol, which treats tol as a relative target with an absolute
-    floor of the same size.  Pass abs_floor=0.0 for a purely relative
-    target (needed when the integral itself is many orders of magnitude
-    below 1).  Exhausting the panel budget raises RuntimeError rather than
-    returning a value that pretends to be converged.
-
-    `breakpoints` seeds the initial partition (useful when the integrand has
-    known kinks or scale changes); values outside (a, b) are ignored.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"bad integration interval [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if abs_floor is None:
-        abs_floor = tol
-
-    pts = [a, b]
-    if breakpoints is not None:
-        pts = sorted({a, b, *(float(p) for p in breakpoints if a < p < b)})
-
-    heap = []
-    serial = 0
-    for lo, hi in zip(pts, pts[1:]):
-        v, e = _panel_pair(f, lo, hi)
-        heapq.heappush(heap, (-e, serial, lo, hi, v))
-        serial += 1
-
-    while True:
-        total = math.fsum(item[4] for item in heap)
-        toterr = math.fsum(-item[0] for item in heap)
-        if toterr <= tol * abs(total) + abs_floor:
-            return QuadratureResult(total, toterr, len(heap))
-        if len(heap) >= budget:
-            raise RuntimeError(
-                f"adaptive_integrate: panel budget {budget} exhausted "
-                f"(error indicator {toterr:.3e})"
-            )
-        neg_e, _, lo, hi, _v = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at machine resolution; keep it and accept its estimate
-            heapq.heappush(heap, (0.0, serial, lo, hi, _v))
-            serial += 1
-            continue
-        for l2, h2 in ((lo, mid), (mid, hi)):
-            v2, e2 = _panel_pair(f, l2, h2)
-            heapq.heappush(heap, (-e2, serial, l2, h2, v2))
-            serial += 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +73,6 @@ def find_root_bracketed(
 
 
 def _as_fraction_coeffs(coeffs) -> list:
-    if isinstance(coeffs, PolynomialReal):
-        coeffs = coeffs.coeffs
     out = []
     for c in coeffs:
         if isinstance(c, Fraction):
@@ -356,8 +221,6 @@ def poly_complex_roots(coeffs) -> list:
     Deterministic start: points spread on the Cauchy-bound circle.  Returned
     sorted by (real, imag).
     """
-    if isinstance(coeffs, PolynomialReal):
-        coeffs = coeffs.coeffs
     c = np.asarray([complex(v) for v in coeffs], dtype=complex)
     while len(c) > 1 and c[-1] == 0:
         c = c[:-1]

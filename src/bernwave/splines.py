@@ -24,7 +24,6 @@ __all__ = [
     "autocorrelation_symbol",
     "spline_wavelet",
     "spline_wavelet_magnitude",
-    "spline_wavelet_weighted_magnitude",
     "spline_wavelet_ft",
 ]
 
@@ -193,39 +192,6 @@ def spline_wavelet_magnitude(m: int, omega):
     return float(out[0]) if np.asarray(omega).ndim == 0 else out
 
 
-def spline_wavelet_weighted_magnitude(m: int, k, omega):
-    """|w|^{-k} * |FT of the order-m spline wavelet|, stable for 0 <= k <= m.
-
-    The weight and the wavelet's m-fold zero at the origin are combined in
-    the log domain, so the apparent singularities at w = 0 (and the lattice
-    points of the autocorrelation symbol) cancel exactly.  w = 0 with k > 0
-    is rejected for k > m only; for k <= m the limit is finite and returned.
-    """
-    _check_order(m)
-    k = float(k)
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    if k > m and np.any(w == 0.0):
-        raise ValueError(f"weight |w|^-{k} diverges at w = 0 for k > m = {m}")
-    aw = np.abs(w)
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.where(aw == 0.0, 1.0, aw))
-    # (m - k) ln|w| handles the 0/0 at the origin in one shot
-    pw = (m - k) * logw
-    pw = np.where(aw == 0.0, (-np.inf if k < m else 0.0), pw)
-    A = autocorrelation_symbol(m, w / 2.0 + np.pi)
-    logmag = (
-        pw
-        - m * math.log(4.0)
-        + 2.0 * m * _log_abs_sinc(w / 4.0)
-        + np.log(A)
-        - 0.5 * math.log(2.0 * math.pi)
-    )
-    out = np.exp(logmag)
-    return float(out[0]) if scalar else out
-
-
 def spline_wavelet_ft(m: int, omega):
     """Complex FT of the order-m spline wavelet (one fixed phase convention).
 
@@ -233,7 +199,7 @@ def spline_wavelet_ft(m: int, omega):
     * (autocorrelation symbol at w/2 + pi) * exp(-i (2m-1) w / 2).
 
     Intended for inner products at moderate m; magnitudes at large m should
-    go through spline_wavelet_weighted_magnitude instead.
+    go through spline_wavelet_magnitude, which works in the log domain.
     """
     _check_order(m)
     w = np.asarray(omega, dtype=float)

@@ -84,9 +84,19 @@ class TensorCkpResult:
     certified_rel_error: float
 
 
-def _axis_parts(kind: int):
-    # (part of axis 1, part of axis 2)
-    return {1: ("psi", "phi"), 2: ("phi", "psi"), 3: ("psi", "psi")}[kind]
+def _axis_parts(family: str, kind: int, k1: int, k2: int):
+    """(part of axis 1, part of axis 2), once the family, kind and weights
+    are checked: an orthonormal phi axis admits only k = 0."""
+    _check_kind(kind)
+    _check_k(k1, k2)
+    if family not in ("spline", "daubechies"):
+        raise ValueError(f"unknown family {family!r}")
+    parts = {1: ("psi", "phi"), 2: ("phi", "psi"), 3: ("psi", "psi")}[kind]
+    if family == "daubechies":
+        for axis, (part, k) in enumerate(zip(parts, (k1, k2)), start=1):
+            if part == "phi" and k != 0:
+                raise ValueError(f"orthonormal mixed kinds need k = 0 on the phi axis (axis {axis})")
+    return parts
 
 
 def tensor_ckp(
@@ -104,14 +114,7 @@ def tensor_ckp(
     quadrature is involved; the certificate is the sum of the axis
     certificates.
     """
-    _check_kind(kind)
-    _check_k(k1, k2)
-    part1, part2 = _axis_parts(kind)
-    if family == "daubechies":
-        if part1 == "phi" and k1 != 0:
-            raise ValueError("orthonormal mixed kinds need k = 0 on the phi axis (axis 1)")
-        if part2 == "phi" and k2 != 0:
-            raise ValueError("orthonormal mixed kinds need k = 0 on the phi axis (axis 2)")
+    part1, part2 = _axis_parts(family, kind, k1, k2)
     a1 = ckp(family, part1, m, k1, p, tol)
     a2 = ckp(family, part2, m, k2, p, tol)
     return TensorCkpResult(
@@ -133,14 +136,5 @@ def _axis_limit(family: str, part: str, k: int, p: float) -> float:
 
 def tensor_limit(family: str, kind: int, k1: int, k2: int, p: float = 2.0) -> float:
     """Large-m limit of the tensor constant: the product of axis limits."""
-    _check_kind(kind)
-    _check_k(k1, k2)
-    if family not in ("spline", "daubechies"):
-        raise ValueError(f"unknown family {family!r}")
-    part1, part2 = _axis_parts(kind)
-    if family == "daubechies":
-        if part1 == "phi" and k1 != 0:
-            raise ValueError("orthonormal mixed kinds need k = 0 on the phi axis (axis 1)")
-        if part2 == "phi" and k2 != 0:
-            raise ValueError("orthonormal mixed kinds need k = 0 on the phi axis (axis 2)")
+    part1, part2 = _axis_parts(family, kind, k1, k2)
     return _axis_limit(family, part1, k1, p) * _axis_limit(family, part2, k2, p)

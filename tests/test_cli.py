@@ -56,6 +56,16 @@ def test_constants_favard(capsys):
     assert vals["K_3"] == pytest.approx(math.pi ** 3 / 24.0, rel=1e-14)
 
 
+def test_constants_favard_past_overflow_is_strict_json(capsys):
+    # even K_j for j >= 512 once printed as Infinity, then NaN
+    code = main(["constants", "--set", "favard", "--j-max", "514"])
+    env = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 0
+    vals = {r["name"]: r["value"] for r in env["results"]}
+    assert len(vals) == 515
+    assert vals["K_512"] == vals["K_514"] == pytest.approx(4.0 / math.pi, rel=1e-15)
+
+
 def test_constants_all_contains_both_sets(capsys):
     code, env = run_json(capsys, ["constants"])
     names = {r["name"] for r in env["results"]}
@@ -280,6 +290,9 @@ def _one_line_refusal(capsys, argv, code):
     ["bernstein", "--coeffs", "1 2", "--m", "40", "--k", "39", "--h", "10000000000"],
     ["bernstein", "--coeffs", "1e300 2", "--m", "40", "--k", "39"],
     ["bernstein", "--coeffs", "1 2", "--m", "3", "--k", "1", "--slack", "nan"],
+    ["constants", "--set", "favard", "--j-max", "10001"],
+    ["mask", "--family", "spline", "--m", "41"],
+    ["mask", "--family", "spline", "--m", "1100", "--part", "psi"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     err = _one_line_refusal(capsys, argv, 2)
@@ -294,6 +307,13 @@ def test_over_budget_ckp_exits_one_with_one_line(capsys):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 _TOKENS = st.one_of(
@@ -329,16 +349,53 @@ def test_bernstein_cli_never_crashes(data, m, h, p, slack, n_numbers, magnitude,
     text = sep.join([repr(float(x)) for x in numbers] + tokens)
     argv = ["bernstein", f"--m={m}", f"--k={k}", f"--h={h}", f"--p={p!r}", f"--slack={slack!r}",
             f"--coeffs={text}"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = _run_quiet(argv)
     assert code in (0, 1, 2)
     if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("bernwave bernstein: ")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert out == ""
+        assert err.startswith("bernwave bernstein: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
     else:
-        assert err.getvalue() == ""
-        row = json.loads(out.getvalue(), parse_constant=_reject_constant)["results"][0]
+        assert err == ""
+        row = json.loads(out, parse_constant=_reject_constant)["results"][0]
         assert row["ok"] is (code == 0)
         assert all(math.isfinite(row[key]) for key in ("lhs", "rhs", "lhs_over_rhs"))
+
+
+def _assert_refusal_or_strict_json(command, code, out, err):
+    # exit 2 with one line on stderr, or exit 0 with a strict JSON envelope
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith(f"bernwave {command}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return None
+    assert err == ""
+    return json.loads(out, parse_constant=_reject_constant)["results"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    which=st.sampled_from(["spline", "favard", "all"]),
+    j_max=_mostly(st.integers(0, 700), st.one_of(st.integers(-10**6, -1), st.integers(10**4 - 2, 10**40))),
+)
+def test_constants_cli_never_crashes(which, j_max):
+    code, out, err = _run_quiet(["constants", f"--set={which}", f"--j-max={j_max}"])
+    rows = _assert_refusal_or_strict_json("constants", code, out, err)
+    if rows is not None:
+        assert all(math.isfinite(r["value"]) for r in rows)
+        if which != "spline":
+            assert sum(r["name"].startswith("K_") for r in rows) == j_max + 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["spline", "daubechies"]),
+    part=st.sampled_from(["phi", "psi"]),
+    m=_mostly(st.integers(1, 40), st.one_of(st.integers(-10**6, 0), st.integers(21, 10**40))),
+)
+def test_mask_cli_never_crashes(family, part, m):
+    code, out, err = _run_quiet(["mask", f"--family={family}", f"--part={part}", f"--m={m}"])
+    rows = _assert_refusal_or_strict_json("mask", code, out, err)
+    if rows is not None:
+        assert rows and all(math.isfinite(r["coefficient"]) for r in rows)

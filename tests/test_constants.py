@@ -35,8 +35,7 @@ def test_favard_closed_forms():
 
 
 def test_favard_parity_and_limit():
-    t = favard_table(200)
-    a = t.as_array()
+    a = favard_table(200)
     assert a.shape == (201,)
     assert np.all(np.diff(a[0::2]) >= 0.0)
     assert np.all(np.diff(a[1::2]) <= 0.0)
@@ -49,7 +48,13 @@ def test_favard_parity_and_limit():
 def test_favard_table_consistent_with_scalar():
     t = favard_table(12)
     for j in range(13):
-        assert t.as_array()[j] == favard(j)
+        assert t[j] == favard(j)
+
+
+def test_favard_large_even_index_does_not_overflow():
+    # the beta sum once overflowed to inf, then nan, from j = 512 on
+    for j in range(512, 601):
+        assert favard(j) == pytest.approx(4.0 / math.pi, rel=1e-15, abs=0.0), j
 
 
 def test_favard_rejects_negative():

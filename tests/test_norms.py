@@ -14,6 +14,8 @@ import pytest
 from bernwave.constants import favard, spline_bernstein_constant, spline_wavelet_lower_bound
 from bernwave.daubechies import daub_phi_hat_magnitude
 from bernwave.norms import (
+    _composite_integrate,
+    _real_line_integral,
     asymptotic_sweep,
     bernstein_violation_scan,
     ckp,
@@ -371,6 +373,39 @@ def test_coefficient_bound_holds_for_gaussian():
         assert r.stated_bound <= r.holder_bound * (1.0 + 1e-12)
 
 
+def _gaussian_spline_wavelet_coefficient(m, center, width):
+    """|<f, psi>| in the time domain for f(x) = exp(-(x - center)^2 / (2 width^2)),
+    psi(x) = sum_v q_v N_{2m}^{(m)}(2x - v) with q_v = (-1)^v 2^{1-m} N_{2m}(v + 1),
+    every piece from scipy's B-splines and quad."""
+    from scipy import integrate
+    from scipy.interpolate import BSpline
+
+    n2m = BSpline.basis_element(np.arange(2 * m + 1, dtype=float), extrapolate=False)
+    q = [(-1) ** v * 2.0 ** (1 - m) * float(n2m(v + 1.0)) for v in range(2 * m - 1)]
+    d = n2m.derivative(m)
+
+    def integrand(x):
+        psi = float(np.dot(q, np.nan_to_num(d(2.0 * x - np.arange(len(q))))))
+        return math.exp(-0.5 * ((x - center) / width) ** 2) * psi
+
+    total = sum(
+        integrate.quad(integrand, 0.5 * i, 0.5 * (i + 1), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for i in range(2 * (2 * m - 1))
+    )
+    return abs(total)
+
+
+def test_coefficient_bound_matches_time_domain():
+    # fhat of a Gaussian of width 0.5 centred at 1.3, in the package's
+    # convention fhat(w) = (2 pi)^{-1/2} int f(x) e^{-ixw} dx
+    center, width = 1.3, 0.5
+    fhat = lambda w: width * np.exp(-1j * center * w - 0.5 * (width * w) ** 2)
+    r = coefficient_bound_check(fhat, "spline", 4, tol=1e-6)
+    want = _gaussian_spline_wavelet_coefficient(4, center, width)
+    assert r.inner_product_abs == pytest.approx(want, rel=1e-10)
+    assert r.ok
+
+
 def test_richardson_exact_on_model():
     grid = (5.0, 10.0, 20.0)
     vals = [3.0 + 5.0 * g ** -0.5 for g in grid]
@@ -453,6 +488,35 @@ def test_composite_integrate_checks_budget_up_front():
     assert calls == []
     total, _, panels = _composite_integrate(f, np.linspace(0.0, 1.0, 11), 1e-6, node_budget=22 * 10)
     assert panels == 10 and total == pytest.approx(1.0, rel=1e-14)
+
+
+def test_composite_integrate_sin():
+    total, err, panels = _composite_integrate(np.sin, [0.0, math.pi], 1e-12)
+    assert abs(total - 2.0) < 1e-12
+    assert err <= 1e-12 * abs(total)  # the stopping rule is relative
+    assert panels >= 1
+
+
+def test_composite_integrate_arctan_derivative():
+    total, _, _ = _composite_integrate(lambda x: 4.0 / (1.0 + x * x), [0.0, 1.0], 1e-13)
+    assert abs(total - math.pi) < 1e-12
+
+
+def test_composite_integrate_kink_at_panel_edge():
+    # |x - 1| on [0, 3]: exact area 0.5 + 2 = 2.5, the kink on a panel edge
+    total, _, _ = _composite_integrate(lambda x: np.abs(x - 1.0), [0.0, 1.0, 3.0], 1e-12)
+    assert abs(total - 2.5) < 1e-11
+
+
+def test_real_line_integral_of_odd_integrand_is_zero():
+    f = lambda w: np.sin(3.0 * w) * np.exp(-w * w / 8.0)
+    tol = 1e-8
+    scale = _real_line_integral(lambda w: np.abs(f(w)), tol)
+    assert scale > 1.0
+    assert abs(_real_line_integral(f, tol, scale=scale)) <= tol * scale
+    # an even one against its closed form, sqrt(8 pi) exp(-18)
+    even = _real_line_integral(lambda w: np.cos(3.0 * w) * np.exp(-w * w / 8.0), tol, scale=scale)
+    assert even == pytest.approx(math.sqrt(8.0 * math.pi) * math.exp(-18.0), abs=tol * scale)
 
 
 @pytest.mark.parametrize("coeffs", [[0.0, 0.0], [math.nan, 1.0], [1.0, math.inf]])

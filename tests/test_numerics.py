@@ -4,37 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from bernwave.numerics import (
-    PolynomialReal,
-    adaptive_integrate,
-    find_root_bracketed,
-    poly_complex_roots,
-    poly_real_roots,
-)
+from bernwave.numerics import find_root_bracketed, poly_complex_roots, poly_real_roots
 from bernwave.splines import euler_frobenius
-
-
-def test_adaptive_integrate_sin():
-    r = adaptive_integrate(np.sin, 0.0, math.pi, tol=1e-12)
-    assert abs(r.value - 2.0) < 1e-12
-    assert r.error_estimate < 1e-12 * 2.0 * abs(r.value)  # indicator is relative
-    assert r.panels >= 1
-
-
-def test_adaptive_integrate_arctan_derivative():
-    r = adaptive_integrate(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-13)
-    assert abs(r.value - math.pi) < 1e-12
-
-
-def test_adaptive_integrate_kink_with_breakpoint():
-    # |x - 1| on [0, 3]: exact area 0.5 + 2 = 2.5
-    r = adaptive_integrate(lambda x: np.abs(x - 1.0), 0.0, 3.0, tol=1e-12, breakpoints=[1.0])
-    assert abs(r.value - 2.5) < 1e-11
-
-
-def test_adaptive_integrate_scalar_callable():
-    r = adaptive_integrate(lambda x: math.exp(-x), 0.0, 10.0, tol=1e-12)
-    assert abs(r.value - (1.0 - math.exp(-10.0))) < 1e-11
 
 
 def test_find_root_cos():
@@ -94,14 +65,6 @@ def test_poly_complex_roots_match_real():
     z = poly_complex_roots(c)
     np.testing.assert_allclose(sorted(r.real for r in z), [-3.0, 1.0, 2.0], atol=1e-10)
     assert max(abs(r.imag) for r in z) < 1e-10
-
-
-def test_polynomial_real_eval_and_derivative():
-    p = PolynomialReal([1.0, 0.0, -3.0, 2.0])
-    assert p.degree == 3
-    assert abs(p(2.0) - (1.0 - 12.0 + 16.0)) < 1e-14
-    dp = p.derivative()
-    assert dp.coeffs == (0.0, -6.0, 6.0)
 
 
 @pytest.mark.parametrize("m", range(2, 16))
