@@ -246,14 +246,34 @@ def daub_phi_hat_magnitude(m: int, omega, tol: float = 1e-12):
     return float(out[0]) if scalar else out
 
 
+def _log_psi_regular(m: int, u: np.ndarray, tol: float) -> np.ndarray:
+    """r(u) in |FT of the order-m wavelet| = (2 pi)^{-1/2} |u|^m e^{r(u)},
+    certified like _log_phi_hat.
+
+    |a(u/2 + pi)|^2 = sin^{2m}(u/4) P(cos^2(u/4)), and the zero of order m
+    is taken out exactly as (u/4)^m sinc^m(u/4), so
+    r = ln P(cos^2(u/4)) / 2 + m ln|sinc(u/4)| - m ln 4 + _log_phi_hat(u/2),
+    finite at u = 0 and at most ln P(1) / 2 - m ln 4."""
+    pc = _p_coeffs(m)
+    y = np.square(np.cos(0.25 * u))
+    acc = np.full_like(y, pc[-1])
+    for c in pc[-2::-1]:
+        acc *= y
+        acc += c
+    return (0.5 * np.log(acc) + m * _log_abs_sinc(0.25 * u) - m * math.log(4.0)
+            + _log_phi_hat(m, 0.5 * u, tol))
+
+
 def daub_psi_hat_magnitude(m: int, omega, tol: float = 1e-12):
-    """|FT of the order-m wavelet| = |a(w/2 + pi)| * |FT of scaling fn at w/2|."""
+    """|FT of the order-m wavelet| = |a(w/2 + pi)| * |FT of scaling fn at w/2|,
+    certified within (1 +/- tol) down to w = 0."""
     _check_order(m)
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
-    lg = 0.5 * _log_symbol_squared(m, w / 2.0 + np.pi) + _log_phi_hat(m, w / 2.0, tol)
-    out = np.exp(lg) / math.sqrt(2.0 * math.pi)
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(w))
+    out = np.exp(m * logw + _log_psi_regular(m, w, tol)) / math.sqrt(2.0 * math.pi)
     return float(out[0]) if scalar else out
 
 

@@ -4,6 +4,15 @@ derivative-inequality verifier for spline expansions, Fejer-kernel
 near-extremal ratios, asymptotic sweeps with Richardson extrapolation,
 and a directly checkable wavelet-coefficient bound.
 
+Every transform a norm weighs -- phi and psi of either family -- has
+one modulus model, |fhat(w)| = (2 pi)^{-1/2} |w|^z e^{r(w)}: z = m for a
+wavelet (its vanishing moments), z = 0 for a scaling function, and the
+regular part r, finite at 0 and bounded above by r_max, comes from the
+family module that also builds the public magnitude.  So one integrand,
+exp(p (r(w) - ln(2 pi)/2 + (z + alpha) ln w)), serves all four cases, its
+small-w bound is exp(p (r_max - ln(2 pi)/2)) w^{(z + alpha) p}, and the
+query is admissible at 0 exactly when (z + alpha) p > -1.
+
 One quadrature engine serves every integral here: composite
 Gauss-Legendre panels (GL15 value, GL7 check) that split where the two
 disagree.  For a norm it integrates w^{alpha*p} |fhat(w)|^p over
@@ -76,13 +85,19 @@ _BUDGET_MESSAGE = "quadrature node budget exceeded; request a looser tolerance"
 
 @dataclass(frozen=True)
 class WeightedNormQuery:
+    """An admissible norm || |w|^alpha fhat ||_p; every check lives here."""
+
     family: str          # "spline" | "daubechies"
     part: str            # "phi" | "psi"
     m: int
     alpha: float         # weight exponent: || |w|^alpha fhat ||_p
     p: float
     tol: float = 1e-8
-    scale: float = 1.0   # evaluate fhat(scale * w) inside the norm
+
+    @property
+    def zero_order(self) -> int:
+        """z: the order of the zero of |fhat| at w = 0."""
+        return self.m if self.part == "psi" else 0
 
     def __post_init__(self):
         if self.family not in ("spline", "daubechies"):
@@ -93,11 +108,19 @@ class WeightedNormQuery:
             raise ValueError("m must be a positive integer")
         if not (math.isfinite(self.p) and self.p > 1.0):
             raise ValueError("p must be finite and exceed 1")
-        if not (self.tol > 0.0 and self.scale > 0.0):
-            raise ValueError("tol and scale must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be finite and positive")
         limit = SPLINE_ORDER_LIMIT if self.family == "spline" else _daub.MASK_ORDER_LIMIT
         if self.m > limit:
             raise ValueError(f"order m={self.m} beyond supported limit {limit} for {self.family}")
+        z = self.zero_order
+        if not (z + self.alpha) * self.p > -1.0:
+            raise ValueError(
+                f"the weight |w|^{self.alpha:g} exceeds what the order-{z} zero of fhat at 0 "
+                f"absorbs: need ({z} + alpha) * p > -1"
+            )
+        if self.family == "spline" and not (self.m - self.alpha) * self.p > 1.0:
+            raise ValueError("need (m - alpha) * p > 1 for a convergent spline norm")
 
 
 @dataclass(frozen=True)
@@ -166,74 +189,32 @@ class AsymptoticReport:
 # ---------------------------------------------------------------------------
 
 
-def _spline_phi_integrand(m, alpha, p, scale):
-    lc = -0.5 * _LN_2PI
-
-    def f(w):
-        return np.exp(p * (alpha * np.log(w) + m * _spl._log_abs_sinc(0.5 * scale * w) + lc))
-
-    # integrand <= coeff * w^expo near zero
-    return f, alpha * p, math.exp(-0.5 * p * _LN_2PI)
-
-
-def _spline_psi_integrand(m, alpha, p, scale):
-    lc = m * math.log(scale) - m * math.log(4.0) - 0.5 * _LN_2PI
-    ma = m + alpha
-
-    def f(w):
-        u = scale * w
-        reg = 2.0 * m * _spl._log_abs_sinc(0.25 * u) + np.log(
-            _spl.autocorrelation_symbol(m, 0.5 * u + math.pi)
-        )
-        ex = ma * np.log(w) if ma != 0.0 else 0.0
-        return np.exp(p * (ex + lc + reg))
-
-    # sinc and the autocorrelation factor never exceed 1
-    return f, ma * p, math.exp(p * lc)
-
-
-def _daub_phi_integrand(m, alpha, p, scale, mag_tol):
-    lc = -0.5 * _LN_2PI
-
-    def f(w):
-        return np.exp(p * (alpha * np.log(w) + _daub._log_phi_hat(m, scale * w, mag_tol) + lc))
-
-    return f, alpha * p, math.exp(-0.5 * p * _LN_2PI)
-
-
-def _daub_psi_integrand(m, alpha, p, scale, mag_tol):
-    pc = _daub._p_coeffs(m)
-    lc = m * math.log(scale) - m * math.log(4.0) - 0.5 * _LN_2PI
-    ma = m + alpha
-
-    def f(w):
-        u = scale * w
-        y = np.cos(0.25 * u) ** 2
-        acc = np.full_like(y, pc[-1])
-        for c in pc[-2::-1]:
-            acc = acc * y + c
-        reg = (
-            m * _spl._log_abs_sinc(0.25 * u)
-            + 0.5 * np.log(acc)
-            + _daub._log_phi_hat(m, 0.5 * u, mag_tol)
-        )
-        ex = ma * np.log(w) if ma != 0.0 else 0.0
-        return np.exp(p * (ex + lc + reg))
-
-    bmax = float(np.polyval(pc[::-1], 1.0))
-    return f, ma * p, math.exp(p * lc) * bmax ** (0.5 * p)
-
-
 def _make_integrand(q: WeightedNormQuery, mag_tol: float):
     """Return (vectorized integrand of the p-th power, small-w exponent g,
-    coefficient C with integrand <= C * w^g near 0)."""
-    if q.family == "spline":
-        if q.part == "phi":
-            return _spline_phi_integrand(q.m, q.alpha, q.p, q.scale)
-        return _spline_psi_integrand(q.m, q.alpha, q.p, q.scale)
-    if q.part == "phi":
-        return _daub_phi_integrand(q.m, q.alpha, q.p, q.scale, mag_tol)
-    return _daub_psi_integrand(q.m, q.alpha, q.p, q.scale, mag_tol)
+    coefficient C with integrand <= C * w^g near 0), from the modulus
+    model (2 pi)^{-1/2} w^z e^{r(w)} with r <= r_max."""
+    m, p = q.m, q.p
+    if q.family == "spline" and q.part == "phi":
+        r, r_max = (lambda w: m * _spl._log_abs_sinc(0.5 * w)), 0.0
+    elif q.family == "spline":
+        r, r_max = (lambda w: _spl._log_wavelet_regular(m, w)), -m * math.log(4.0)
+    elif q.part == "phi":
+        r, r_max = (lambda w: _daub._log_phi_hat(m, w, mag_tol)), 0.0
+    else:
+        r = lambda w: _daub._log_psi_regular(m, w, mag_tol)
+        r_max = 0.5 * math.log(sum(_daub._p_coeffs(m))) - m * math.log(4.0)
+    g = q.zero_order + q.alpha
+    lc = -0.5 * _LN_2PI
+
+    def f(w):
+        e = r(w)
+        if g != 0.0:
+            e += g * np.log(w)
+        e += lc
+        e *= p
+        return np.exp(e, out=e)
+
+    return f, g * p, math.exp(p * (r_max + lc))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +261,7 @@ def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, max_rounds
         total = float(vals.sum())
         err = float(errs.sum())
         target = rel_tol * abs(total) + abs_floor
-        if err <= target or total == 0.0:
+        if err <= target:
             return total, err, lo.size
         mask = errs > target / lo.size
         if not mask.any():
@@ -316,8 +297,6 @@ def _build_edges(omega, small_expo, small_coeff, abs_target):
         raise RuntimeError(_BUDGET_MESSAGE)
     body = w0 * np.arange(1, n + 1)
     g1 = small_expo + 1.0
-    if g1 <= 0.0:
-        raise ValueError("weight exponent leaves the integrand non-integrable at 0")
     # pick eps = w0 * 2^-D with remaining mass below abs_target
     head_bound = lambda eps: small_coeff * eps ** g1 / g1
     depth = 1
@@ -349,29 +328,22 @@ def _spline_tail_mean(part: str, m: int, p: float) -> float:
     return float(vals.mean())
 
 
-def _spline_tail(part, m, alpha, p, scale, omega):
-    """(estimate, uncertainty) for int_Omega^inf w^{alpha p}|fhat(scale w)|^p dw.
+def _spline_tail(part, m, alpha, p, omega):
+    """(estimate, uncertainty) for int_Omega^inf w^{alpha p}|fhat(w)|^p dw.
 
-    In the substituted variable u = scale * w the integrand is exactly
-    C u^{-s} P(u) with P periodic (period 2 pi for the spline, 4 pi for
-    the wavelet), 0 <= P <= 1 and s = (m - alpha) p.  The mean of P gives
+    The integrand is exactly C w^{-s} P(w) with P periodic (period 2 pi
+    for the spline, 4 pi for the wavelet), 0 <= P <= 1 and
+    s = (m - alpha) p > 1.  The mean of P gives
     the estimate C Pbar Omega^{1-s}/(s-1); the oscillatory remainder is
     bounded by Abel summation (integrals of P - Pbar over whole periods
     vanish) by 2 T C Omega^{-s} -- one power of Omega smaller, which is
     what keeps slowly decaying cases inside the cutoff budget."""
     s = (m - alpha) * p
-    if s <= 1.0:
-        raise ValueError(
-            f"tail of the weighted norm diverges: need (m - alpha) * p > 1, "
-            f"got m={m}, alpha={alpha}, p={p}"
-        )
-    om = scale * omega
-    scale_fac = scale ** (-(alpha * p + 1.0))
     num = 2.0 if part == "phi" else 4.0
     c = math.exp(-0.5 * p * _LN_2PI) * num ** (m * p)
     period = 2.0 * math.pi if part == "phi" else 4.0 * math.pi
-    est = scale_fac * c * _spline_tail_mean(part, m, p) * om ** (1.0 - s) / (s - 1.0)
-    unc = scale_fac * 2.0 * period * c * om ** (-s)
+    est = c * _spline_tail_mean(part, m, p) * omega ** (1.0 - s) / (s - 1.0)
+    unc = 2.0 * period * c * omega ** (-s)
     return est, unc
 
 
@@ -515,19 +487,14 @@ def _daub_tail_mean_route(cert: _DaubTailCertificate, alpha, om):
     return total
 
 
-def _daub_tail_bound(part, m, alpha, p, scale, omega):
-    """Certified bound on int_Omega^inf w^{alpha p}|fhat(scale w)|^p dw for
+def _daub_tail_bound(part, m, alpha, p, omega):
+    """Certified bound on int_Omega^inf w^{alpha p}|fhat(w)|^p dw for
     the orthonormal family.  The wavelet case reduces to the scaling case
     through |psihat(w)| <= |phihat(w/2)|."""
     if part == "psi":
         # |psihat(u)| <= |phihat(u/2)|; substitute u = 2v in the tail integral
-        return 2.0 ** (alpha * p + 1.0) * _daub_tail_bound("phi", m, alpha, p, scale, omega / 2.0)
+        return 2.0 ** (alpha * p + 1.0) * _daub_tail_bound("phi", m, alpha, p, omega / 2.0)
     cert = _daub_tail_certificate(m)
-    # substitute u = scale * w once and for all
-    om = scale * omega
-    scale_fac = scale ** (-(alpha * p + 1.0))
-    if om < 2.0 * math.pi:
-        raise ValueError("tail cutoff below the certified range")
     # gate: the sup-route geometric ratio must be < 1, or even the far
     # remainder cannot be summed (for p = 2 that also rejects weights at
     # or beyond the true decay, e.g. m = 2 with alpha = 1)
@@ -540,8 +507,8 @@ def _daub_tail_bound(part, m, alpha, p, scale, omega):
             f"too small for this weight"
         )
     if p == 2.0:
-        return scale_fac * _daub_tail_mean_route(cert, alpha, om)
-    return scale_fac * _daub_tail_sup_route(cert, alpha, p, om)
+        return _daub_tail_mean_route(cert, alpha, omega)
+    return _daub_tail_sup_route(cert, alpha, p, omega)
 
 
 def _tail(q: WeightedNormQuery, omega):
@@ -550,22 +517,13 @@ def _tail(q: WeightedNormQuery, omega):
     enters the error budget.  The orthonormal certificate is a pure
     upper bound, so there the estimate is zero."""
     if q.family == "spline":
-        return _spline_tail(q.part, q.m, q.alpha, q.p, q.scale, omega)
-    return 0.0, _daub_tail_bound(q.part, q.m, q.alpha, q.p, q.scale, omega)
+        return _spline_tail(q.part, q.m, q.alpha, q.p, omega)
+    return 0.0, _daub_tail_bound(q.part, q.m, q.alpha, q.p, omega)
 
 
 # ---------------------------------------------------------------------------
 # the norm itself
 # ---------------------------------------------------------------------------
-
-
-def _validate_norm_query(q: WeightedNormQuery):
-    if q.alpha * q.p <= -1.0 and q.part == "phi":
-        raise ValueError("need alpha * p > -1: the weight is not integrable at 0")
-    if q.part == "psi" and (q.m + q.alpha) * q.p <= -1.0:
-        raise ValueError("weight exponent exceeds the wavelet's vanishing order at 0")
-    if q.family == "spline" and (q.m - q.alpha) * q.p <= 1.0:
-        raise ValueError("need (m - alpha) * p > 1 for a convergent spline norm")
 
 
 def weighted_lp_norm(
@@ -575,9 +533,8 @@ def weighted_lp_norm(
     alpha: float,
     p: float,
     tol: float = 1e-8,
-    scale: float = 1.0,
 ) -> NormResult:
-    """Certified || |w|^alpha fhat(scale w) ||_{L_p(R)} for the spline or
+    """Certified || |w|^alpha fhat ||_{L_p(R)} for the spline or
     orthonormal scaling function (part="phi") or wavelet (part="psi") of
     order m.
 
@@ -586,8 +543,7 @@ def weighted_lp_norm(
     orthonormal family) the truncation certificate of the infinite
     symbol product.  It is kept below tol or the call raises.
     """
-    q = WeightedNormQuery(family, part, m, float(alpha), float(p), tol, float(scale))
-    _validate_norm_query(q)
+    q = WeightedNormQuery(family, part, m, float(alpha), float(p), tol)
     mag_tol = tol / 8.0
     f, g, c0 = _make_integrand(q, mag_tol)
     if q.family == "daubechies":
@@ -595,39 +551,32 @@ def weighted_lp_norm(
 
     # bootstrap estimate of the p-th power integral (underestimate: the
     # integrand is nonnegative, so truncation only loses mass)
-    boot_edges, _ = _build_edges(64.0 * math.pi / q.scale, g, c0, 1e-280)
+    boot_edges, _ = _build_edges(64.0 * math.pi, g, c0, 1e-280)
     i_boot, _, _ = _composite_integrate(f, boot_edges, 1e-3)
     if not (i_boot > 0.0) or not math.isfinite(i_boot):
         raise RuntimeError("bootstrap integral failed; the norm may underflow")
 
     tail_target = 0.25 * tol * i_boot
-    lpow = max(6, int(math.ceil(math.log2(64.0 / q.scale))))
-    tail_est = 0.0
-    tail = math.inf
-    while lpow <= 24:
+    for lpow in range(6, 25):  # cutoffs pi 2^6 .. pi 2^24
         omega = math.pi * 2.0 ** lpow
         tail_est, tail = _tail(q, omega)
         if tail <= tail_target:
             break
-        lpow += 1
     else:
         raise RuntimeError(
             f"tail cannot be certified below target within the cutoff budget "
             f"(family={family}, part={part}, m={m}, alpha={alpha}, p={p})"
         )
 
-    omega = math.pi * 2.0 ** lpow
     edges, head = _build_edges(omega, g, c0, tail_target / 10.0)
-    quad_rel = 0.5 * tol
-    integral, quad_err, panels = _composite_integrate(f, edges, quad_rel)
-    total = integral + tail_est
-    cre = (quad_err + tail + head) / (q.p * total) + (mag_tol if family == "daubechies" else 1e-14)
-    if cre > tol:
-        integral, quad_err, panels = _composite_integrate(f, edges, quad_rel / 8.0)
+    for quad_rel in (0.5 * tol, 0.0625 * tol):  # one retry, 8 times tighter
+        integral, quad_err, panels = _composite_integrate(f, edges, quad_rel)
         total = integral + tail_est
         cre = (quad_err + tail + head) / (q.p * total) + (mag_tol if family == "daubechies" else 1e-14)
-        if cre > tol:
-            raise RuntimeError(f"could not certify the norm to tol={tol} (achieved {cre:.2e})")
+        if cre <= tol:
+            break
+    else:
+        raise RuntimeError(f"could not certify the norm to tol={tol} (achieved {cre:.2e})")
     value = (2.0 * total) ** (1.0 / q.p)
     return NormResult(q, value, cre, omega, tail, panels)
 
@@ -648,16 +597,12 @@ def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> 
     """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError("k must be a nonnegative integer")
-    if part == "psi" and k > m:
-        raise ValueError(
-            f"k={k} exceeds the wavelet's vanishing-moment order m={m}; "
-            "the weighted norm diverges at 0"
-        )
+    alpha = -float(k) if part == "psi" else float(k)
+    WeightedNormQuery(family, part, m, alpha, float(p), tol)  # refuse before any quadrature
     den = weighted_lp_norm(family, part, m, 0.0, p, tol)
     if k == 0:
         return CkpResult(family, part, m, 0, p, den.value, den.value, 1.0,
                          2.0 * den.certified_rel_error)
-    alpha = -float(k) if part == "psi" else float(k)
     num = weighted_lp_norm(family, part, m, alpha, p, tol)
     return CkpResult(
         family, part, m, int(k), p, num.value, den.value, num.value / den.value,
@@ -670,7 +615,7 @@ def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> 
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _periodized_weight_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
     """Grid values on theta_g = 2 pi g / N of
         G(theta) = sum_l |theta + 2 pi l|^{kp} |Nhat_m(theta + 2 pi l)|^p,
@@ -698,7 +643,7 @@ def _periodized_weight_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
     return g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _folded_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
     """Trapezoid weights on the half grid theta_g, g = 0..n_grid/2, for
     int_0^{2pi} f G_k when f is even about theta = pi, as |chat|^p is for
@@ -823,6 +768,8 @@ def fejer_extremal_ratio(m: int, j: int, k: int = 1, p: float = 2.0, n_grid: int
     tightest)."""
     if not 1 <= k < m:
         raise ValueError("need 1 <= k < m")
+    if not 0 <= j < n_grid // 2:
+        raise ValueError(f"Fejer order j must be in [0, {n_grid // 2}) on the {n_grid}-point grid, got {j}")
     theta = 2.0 * math.pi * np.arange(n_grid) / n_grid
     t = theta - math.pi
     sj = np.sin(0.5 * (j + 1) * t)
@@ -909,21 +856,16 @@ def coefficient_bound_check(
     q = p / (p - 1.0)
     two_j = 2.0 ** (-j)
 
-    def inner_re(w):
-        z = fhat(w) * np.conj(2.0 ** (-0.5 * j) * np.exp(-1j * two_j * nu * w) * psihat(two_j * w))
-        return np.real(z)
-
-    def inner_im(w):
-        z = fhat(w) * np.conj(2.0 ** (-0.5 * j) * np.exp(-1j * two_j * nu * w) * psihat(two_j * w))
-        return np.imag(z)
+    def inner(w):
+        return fhat(w) * np.conj(2.0 ** (-0.5 * j) * np.exp(-1j * two_j * nu * w) * psihat(two_j * w))
 
     # unsigned mass of the coefficient integrand: the scale that makes the
     # signed re/im integrals well-posed even when symmetry kills one of them
     mass = _real_line_integral(
         lambda w: 2.0 ** (-0.5 * j) * np.abs(fhat(w)) * np.abs(psihat(two_j * w)), tol
     )
-    re = _real_line_integral(inner_re, tol, scale=mass)
-    im = _real_line_integral(inner_im, tol, scale=mass)
+    re = _real_line_integral(lambda w: np.real(inner(w)), tol, scale=mass)
+    im = _real_line_integral(lambda w: np.imag(inner(w)), tol, scale=mass)
     lhs = math.hypot(re, im)
 
     fw = lambda w: np.abs(w) ** (k * q) * np.abs(fhat(w)) ** q

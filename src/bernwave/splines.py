@@ -166,19 +166,14 @@ def autocorrelation_symbol(m: int, omega):
     return float(out[0]) if scalar else out
 
 
-def _wavelet_log_magnitude(m: int, w: np.ndarray) -> np.ndarray:
-    """ln of the spline-wavelet FT magnitude at w (array, any sign)."""
-    aw = np.abs(w)
-    with np.errstate(divide="ignore"):
-        logw = np.log(aw)
-    logw = np.where(aw == 0.0, -np.inf, logw)
-    A = autocorrelation_symbol(m, w / 2.0 + np.pi)
+def _log_wavelet_regular(m: int, u: np.ndarray) -> np.ndarray:
+    """r(u) in |FT of the order-m spline wavelet| = (2*pi)^{-1/2} |u|^m e^{r(u)}:
+    2m ln|sinc(u/4)| + ln A(u/2 + pi) - m ln 4, finite at u = 0 and at most
+    -m ln 4 (sinc and the autocorrelation symbol A never exceed 1)."""
     return (
-        m * logw
+        2.0 * m * _log_abs_sinc(u / 4.0)
+        + np.log(autocorrelation_symbol(m, u / 2.0 + np.pi))
         - m * math.log(4.0)
-        + 2.0 * m * _log_abs_sinc(w / 4.0)
-        + np.log(A)
-        - 0.5 * math.log(2.0 * math.pi)
     )
 
 
@@ -188,7 +183,9 @@ def spline_wavelet_magnitude(m: int, omega):
     """
     _check_order(m)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.exp(_wavelet_log_magnitude(m, w))
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(w))
+    out = np.exp(m * logw + _log_wavelet_regular(m, w)) / _SQRT_2PI
     return float(out[0]) if np.asarray(omega).ndim == 0 else out
 
 

@@ -84,11 +84,13 @@ class TensorCkpResult:
     certified_rel_error: float
 
 
-def _axis_parts(family: str, kind: int, k1: int, k2: int):
-    """(part of axis 1, part of axis 2), once the family, kind and weights
-    are checked: an orthonormal phi axis admits only k = 0."""
+def _axis_parts(family: str, kind: int, k1: int, k2: int, p: float):
+    """(part of axis 1, part of axis 2), once the family, kind, weights and
+    p are checked: an orthonormal phi axis admits only k = 0."""
     _check_kind(kind)
     _check_k(k1, k2)
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must be finite and exceed 1, got {p}")
     if family not in ("spline", "daubechies"):
         raise ValueError(f"unknown family {family!r}")
     parts = {1: ("psi", "phi"), 2: ("phi", "psi"), 3: ("psi", "psi")}[kind]
@@ -114,7 +116,7 @@ def tensor_ckp(
     quadrature is involved; the certificate is the sum of the axis
     certificates.
     """
-    part1, part2 = _axis_parts(family, kind, k1, k2)
+    part1, part2 = _axis_parts(family, kind, k1, k2, p)
     a1 = ckp(family, part1, m, k1, p, tol)
     a2 = ckp(family, part2, m, k2, p, tol)
     return TensorCkpResult(
@@ -136,5 +138,5 @@ def _axis_limit(family: str, part: str, k: int, p: float) -> float:
 
 def tensor_limit(family: str, kind: int, k1: int, k2: int, p: float = 2.0) -> float:
     """Large-m limit of the tensor constant: the product of axis limits."""
-    part1, part2 = _axis_parts(family, kind, k1, k2)
+    part1, part2 = _axis_parts(family, kind, k1, k2, p)
     return _axis_limit(family, part1, k1, p) * _axis_limit(family, part2, k2, p)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernwave.cli import main
@@ -399,3 +399,87 @@ def test_mask_cli_never_crashes(family, part, m):
     rows = _assert_refusal_or_strict_json("mask", code, out, err)
     if rows is not None:
         assert rows and all(math.isfinite(r["coefficient"]) for r in rows)
+
+
+_FAMILY = st.sampled_from(["spline", "daubechies"])
+_PART = st.sampled_from(["phi", "psi"])
+_GOOD_P = st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.01, 20.0))
+_WILD_P = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1.0, 0.5]), st.floats())
+
+
+def _ckp_argv(family, part, m, k, p=2.0, tol=1e-8):
+    return ["ckp", f"--family={family}", f"--part={part}", f"--m={m}", f"--k={k}", f"--p={p!r}",
+            f"--tol={tol!r}"]
+
+
+# every draw is an input ckp must refuse before any quadrature
+_CKP_REFUSED = st.one_of(
+    # k beyond the wavelet's vanishing moments, or negative
+    st.builds(lambda f, m, dk, p: _ckp_argv(f, "psi", m, m + dk, p),
+              _FAMILY, st.integers(1, 20), st.integers(1, 10**6), _GOOD_P),
+    st.builds(lambda f, part, m, k: _ckp_argv(f, part, m, k), _FAMILY, _PART, st.integers(1, 20),
+              st.integers(-10**6, -1)),
+    # p at or below 1, or not finite
+    st.builds(lambda f, part, m, p: _ckp_argv(f, part, m, 1, p), _FAMILY, _PART, st.integers(1, 20),
+              st.one_of(st.floats(max_value=1.0), st.sampled_from([math.nan, math.inf, -math.inf]))),
+    # order past the family's limit, or not positive
+    st.builds(lambda m, part: _ckp_argv("spline", part, m, 1), st.integers(41, 10**40), _PART),
+    st.builds(lambda m, part: _ckp_argv("daubechies", part, m, 1), st.integers(21, 10**40), _PART),
+    st.builds(lambda f, part, m: _ckp_argv(f, part, m, 0), _FAMILY, _PART, st.integers(-10**6, 0)),
+    # tolerance not positive, or not finite
+    st.builds(lambda f, part, m, tol: _ckp_argv(f, part, m, 1, tol=tol), _FAMILY, _PART,
+              st.integers(1, 20), st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))),
+    # spline phi with (m - k) p <= 1: the weighted norm diverges at infinity
+    st.builds(lambda m, dk, p: _ckp_argv("spline", "phi", m, m + dk, p),
+              st.integers(1, 40), st.integers(0, 10**6), _GOOD_P),
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(argv=_CKP_REFUSED)
+def test_ckp_cli_refuses_bad_input_with_one_line(argv):
+    code, out, err = _run_quiet(argv)
+    assert code == 2, (argv, err)
+    assert out == ""
+    assert err.startswith("bernwave ckp: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _finite_numbers(row):
+    return all(math.isfinite(v) for v in row.values() if isinstance(v, float))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    family=_FAMILY,
+    kind=st.sampled_from(["1", "2", "3"]),
+    m=_mostly(st.integers(1, 12), st.integers(-3, 0)),
+    k1=_mostly(st.integers(0, 4), st.integers(-2, 60)),
+    k2=_mostly(st.integers(0, 4), st.integers(-2, 60)),
+    p=_mostly(_GOOD_P, _WILD_P),
+)
+@example(family="daubechies", kind="3", m=4, k1=1, k2=1, p=math.nan)
+@example(family="daubechies", kind="3", m=-4, k1=1, k2=1, p=2.0)
+def test_tensor_limit_only_cli_never_crashes(family, kind, m, k1, k2, p):
+    code, out, err = _run_quiet(["tensor", f"--family={family}", f"--kind={kind}", f"--m={m}",
+                                 f"--k1={k1}", f"--k2={k2}", f"--p={p!r}", "--limit-only"])
+    rows = _assert_refusal_or_strict_json("tensor", code, out, err)
+    if rows is not None:
+        assert _finite_numbers(rows[0])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    m=_mostly(st.integers(2, 8), st.integers(-2, 44)),
+    k=_mostly(st.integers(1, 7), st.integers(-2, 44)),
+    p=_mostly(_GOOD_P, _WILD_P),
+    j_list=st.lists(_mostly(st.integers(0, 64), st.integers(-3, 10**400)), min_size=1, max_size=3),
+)
+@example(m=3, k=1, p=2.0, j_list=[-1])
+@example(m=3, k=1, p=2.0, j_list=[10**400])
+def test_sharpness_cli_never_crashes(m, k, p, j_list):
+    code, out, err = _run_quiet(["sharpness", f"--m={m}", f"--k={k}", f"--p={p!r}",
+                                 "--j-list=" + ",".join(map(str, j_list))])
+    rows = _assert_refusal_or_strict_json("sharpness", code, out, err)
+    if rows is not None:
+        assert len(rows) == len(j_list) and all(_finite_numbers(r) for r in rows)

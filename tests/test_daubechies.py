@@ -192,3 +192,31 @@ def test_phi_hat_complex_equals_sequential_product(monkeypatch):
         np.testing.assert_allclose(daub_phi_hat_complex(m, w, depth=depth), seq,
                                    rtol=0.0, atol=1e-14)
     assert isinstance(daub_phi_hat_complex(2, 1.5), complex)
+
+
+def _psi_magnitude_mpmath(m, w):
+    # |a(w/2 + pi)| prod_{l >= 1} |a(w/2^{l+1})| / sqrt(2 pi) at 40 digits,
+    # with |a(x)|^2 = cos^{2m}(x/2) P(sin^2(x/2)) and |a(x + pi)|^2 =
+    # sin^{2m}(x/2) P(cos^2(x/2)); the product's factors reach 1 like
+    # (w 2^-l)^{2m}, so 200 levels are far more than enough
+    import mpmath
+
+    with mpmath.workdps(40):
+        P = lambda y: sum(math.comb(m - 1 + v, v) * y ** v for v in range(m))
+        x = mpmath.mpf(w) / 2
+        log_sq = 2 * m * mpmath.log(mpmath.sin(x / 2)) + mpmath.log(P(mpmath.cos(x / 2) ** 2))
+        for l in range(1, 200):
+            t = mpmath.mpf(w) / 2 ** (l + 1)
+            log_sq += 2 * m * mpmath.log(mpmath.cos(t / 2)) + mpmath.log(P(mpmath.sin(t / 2) ** 2))
+        return float(mpmath.exp(log_sq / 2) / mpmath.sqrt(2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_psi_magnitude_keeps_its_zero_accurate(m):
+    # the order-m zero at w = 0 is taken out exactly, so small |w| keep
+    # the default 1e-12 certificate
+    w = np.array([1e-2, 1e-4, 1e-6, 1e-8])
+    got = daub_psi_hat_magnitude(m, w)
+    want = np.array([_psi_magnitude_mpmath(m, x) for x in w])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(daub_psi_hat_magnitude(m, -w), want, rtol=1e-12, atol=0.0)
