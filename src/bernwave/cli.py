@@ -244,6 +244,8 @@ def _cmd_tensor(args) -> int:
     t0 = time.perf_counter()
     if args.m < 1:
         raise ValueError(f"order must be a positive integer, got {args.m}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     bound = tensor_lower_bound(args.m, args.k1, args.k2, args.kind) if args.family == "spline" else None
     limit = tensor_limit(args.family, args.kind, args.k1, args.k2, p=args.p)
     row = {

@@ -18,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.special import comb as _comb, gammaln as _gammaln
 
-from .numerics import poly_complex_roots
+from .numerics import poly_complex_roots, scalar_or_array
 from .splines import _log_abs_sinc
 
 __all__ = [
@@ -80,14 +80,11 @@ def _log_symbol_squared(m: int, w: np.ndarray) -> np.ndarray:
         return m * np.log(c2) + np.log(P)
 
 
+@scalar_or_array
 def daub_symbol_squared(m: int, omega):
     """Squared symbol |a(w)|^2 = cos^{2m}(w/2) P(sin^2(w/2)) of the order-m mask."""
     _check_order(m)
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.exp(_log_symbol_squared(m, w))
-    return float(out[0]) if scalar else out
+    return np.exp(_log_symbol_squared(m, omega))
 
 
 @lru_cache(maxsize=None)
@@ -230,6 +227,7 @@ def _log_phi_hat(m: int, w: np.ndarray, tol: float) -> np.ndarray:
     return out.reshape(w.shape)
 
 
+@scalar_or_array
 def daub_phi_hat_magnitude(m: int, omega, tol: float = 1e-12):
     """|FT of the order-m scaling function|, certified within (1 +/- tol).
 
@@ -239,11 +237,7 @@ def daub_phi_hat_magnitude(m: int, omega, tol: float = 1e-12):
     _check_order(m)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.exp(_log_phi_hat(m, w, tol)) / math.sqrt(2.0 * math.pi)
-    return float(out[0]) if scalar else out
+    return np.exp(_log_phi_hat(m, omega, tol)) / math.sqrt(2.0 * math.pi)
 
 
 def _log_psi_regular(m: int, u: np.ndarray, tol: float) -> np.ndarray:
@@ -264,43 +258,38 @@ def _log_psi_regular(m: int, u: np.ndarray, tol: float) -> np.ndarray:
             + _log_phi_hat(m, 0.5 * u, tol))
 
 
+@scalar_or_array
 def daub_psi_hat_magnitude(m: int, omega, tol: float = 1e-12):
     """|FT of the order-m wavelet| = |a(w/2 + pi)| * |FT of scaling fn at w/2|,
     certified within (1 +/- tol) down to w = 0."""
     _check_order(m)
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
     with np.errstate(divide="ignore"):
-        logw = np.log(np.abs(w))
-    out = np.exp(m * logw + _log_psi_regular(m, w, tol)) / math.sqrt(2.0 * math.pi)
-    return float(out[0]) if scalar else out
+        logw = np.log(np.abs(omega))
+    return np.exp(m * logw + _log_psi_regular(m, omega, tol)) / math.sqrt(2.0 * math.pi)
 
 
+@scalar_or_array
 def daub_phi_hat_complex(m: int, omega, depth: int = 48):
     """Complex FT of the scaling function via the mask product (m <= 20).
 
     All `depth` levels of a chunk of nodes go through one (depth x chunk)
     mask evaluation, with chunks of about _COMPLEX_CHUNK elements."""
     _check_order(m, for_mask=True)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
     scales = 2.0 ** -np.arange(1, depth + 1, dtype=float)[:, None]
-    flat = w.ravel()
+    flat = omega.ravel()
     out = np.empty(flat.shape, dtype=complex)
     step = max(1, _COMPLEX_CHUNK // max(depth, 1))
     for i in range(0, flat.size, step):
         out[i : i + step] = np.prod(_mask_transform(m, scales * flat[i : i + step]), axis=0)
-    out = out.reshape(w.shape) / math.sqrt(2.0 * math.pi)
-    return complex(out[0]) if np.asarray(omega).ndim == 0 else out
+    return out.reshape(omega.shape) / math.sqrt(2.0 * math.pi)
 
 
+@scalar_or_array
 def daub_psi_hat_complex(m: int, omega, depth: int = 48):
     """Complex FT of the wavelet, one fixed phase convention (m <= 20)."""
     _check_order(m, for_mask=True)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = (
-        np.exp(-1j * w / 2.0)
-        * np.conj(_mask_transform(m, w / 2.0 + np.pi))
-        * daub_phi_hat_complex(m, w / 2.0, depth=depth)
+    return (
+        np.exp(-1j * omega / 2.0)
+        * np.conj(_mask_transform(m, omega / 2.0 + np.pi))
+        * daub_phi_hat_complex(m, omega / 2.0, depth=depth)
     )
-    return complex(out[0]) if np.asarray(omega).ndim == 0 else out

@@ -26,6 +26,11 @@ certified symbol-product estimate: |phihat(w)|^2 equals
 (2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j) with B >= 1 a fixed
 trigonometric polynomial, and grid-plus-Bernstein-inflation suprema of
 the partial products give an explicit octave-by-octave envelope.
+
+The Bernstein side (spline expansions, Fejer profiles) needs no engine: its
+norms are 2^14-point trapezoid sums of |chat|^p against a periodized weight,
+all even about theta = pi, so each runs on the half grid theta in [0, pi]
+against one cached kernel of trapezoid weights.
 """
 
 from __future__ import annotations
@@ -586,6 +591,15 @@ def weighted_lp_norm(
 # ---------------------------------------------------------------------------
 
 
+def _ckp_query(family: str, part: str, m: int, k: int, p: float, tol: float) -> WeightedNormQuery:
+    """The weighted query of ckp(family, part, m, k, p, tol); building it
+    refuses whatever that call refuses, before any quadrature."""
+    if not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValueError("k must be a nonnegative integer")
+    alpha = -float(k) if part == "psi" else float(k)
+    return WeightedNormQuery(family, part, m, alpha, float(p), tol)
+
+
 def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> CkpResult:
     """Coefficient constant of order m at weight index k: the ratio of the
     weighted to the plain Fourier L_p norm.  The wavelet ratio uses the
@@ -595,10 +609,7 @@ def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> 
     ratio tends to 0 (at p = 2 like sqrt(6/m) for k = 1), while
     splinePhiK predicts (2 xi1)^{-k}.  k = 0 gives exactly 1.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ValueError("k must be a nonnegative integer")
-    alpha = -float(k) if part == "psi" else float(k)
-    WeightedNormQuery(family, part, m, alpha, float(p), tol)  # refuse before any quadrature
+    alpha = _ckp_query(family, part, m, k, p, tol).alpha  # refuse before any quadrature
     den = weighted_lp_norm(family, part, m, 0.0, p, tol)
     if k == 0:
         return CkpResult(family, part, m, 0, p, den.value, den.value, 1.0,
@@ -611,17 +622,25 @@ def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> 
 
 
 # ---------------------------------------------------------------------------
-# periodized kernels: exact reduction of spline-expansion norms to (0, 2 pi)
+# periodized kernel: exact reduction of spline-expansion norms to (0, 2 pi)
 # ---------------------------------------------------------------------------
+
+_N_GRID = 1 << 14  # points of the Bernstein side's 2 pi-periodic trapezoid rule
+
+# the seeded scan: random vectors of 1.._SCAN_MAX_LEN coefficients, every (m, k < m, h, p)
+_SCAN_VECTORS, _SCAN_MAX_LEN = 500, 8
+_SCAN_ORDERS, _SCAN_STEPS, _SCAN_POWERS = (2, 3, 4, 5, 6), (1, 2), (1.5, 2.0, 3.0)
 
 
 @lru_cache(maxsize=512)
-def _periodized_weight_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
-    """Grid values on theta_g = 2 pi g / N of
+def _half_grid_kernel(m: int, k: int, p: float):
+    """Trapezoid weights (2 pi / N) (G_0, 2 G_1, ..., 2 G_{N/2-1}, G_{N/2}),
+    N = _N_GRID, of G_g = G(theta_g = 2 pi g / N) for
         G(theta) = sum_l |theta + 2 pi l|^{kp} |Nhat_m(theta + 2 pi l)|^p,
-    so that int_R |w|^{kp} |chat(w)|^p |Nhat_m(w)|^p dw
-          = int_0^{2pi} |chat|^p G  for any 2 pi-periodic chat.
-    With S = |2 sin(theta/2)| and s = (m - k) p the lattice sum is
+    so that int_R |w|^{kp} |chat(w)|^p |Nhat_m(w)|^p dw = int_0^{2pi} |chat|^p G
+    for any 2 pi-periodic chat.  G is even about pi, and on [0, pi]
+    sin(theta/2) keeps its relative accuracy.  With S = 2 sin(theta/2) and
+    s = (m - k) p the lattice sum is
         (2 pi)^{-p/2} S^{kp} sum_l (S / |theta + 2 pi l|)^s,
     which collapses to the l = 0 and l = -1 terms plus two Hurwitz zeta
     values; every base is at most 1, so nothing overflows at high order.
@@ -629,9 +648,10 @@ def _periodized_weight_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
     s = (m - k) * p
     if s <= 1.0:
         raise ValueError("periodized kernel needs (m - k) * p > 1")
-    theta = 2.0 * math.pi * np.arange(n_grid) / n_grid
+    half = _N_GRID // 2
+    theta = 2.0 * math.pi * np.arange(half + 1) / _N_GRID
     r = theta / (2.0 * math.pi)
-    sin2 = np.abs(2.0 * np.sin(0.5 * theta))
+    sin2 = 2.0 * np.sin(0.5 * theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         lattice = (
             (sin2 / theta) ** s
@@ -640,48 +660,22 @@ def _periodized_weight_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
         )
         g = (2.0 * math.pi) ** (-0.5 * p) * sin2 ** (k * p) * lattice
     g[0] = (2.0 * math.pi) ** (-0.5 * p) if k == 0 else 0.0
-    return g
+    g[1:half] *= 2.0
+    return g * (2.0 * math.pi / _N_GRID)
 
 
-@lru_cache(maxsize=512)
-def _folded_kernel(m: int, k: int, p: float, n_grid: int = 1 << 14):
-    """Trapezoid weights on the half grid theta_g, g = 0..n_grid/2, for
-    int_0^{2pi} f G_k when f is even about theta = pi, as |chat|^p is for
-    real coefficients: (2 pi / n_grid) (G_k(theta_g) + G_k(theta_{n_grid-g}))
-    inside, a single G_k value at g = 0 and n_grid/2."""
-    g = _periodized_weight_kernel(m, k, p, n_grid)
-    half = n_grid // 2
-    w = g[: half + 1].copy()
-    w[1:half] += g[:half:-1]
-    return w * (2.0 * math.pi / n_grid)
-
-
-def _symbol_abs_sq(c, n_grid: int):
-    """|chat(theta_g)|^2 on the half grid theta_g = 2 pi g / n_grid,
-    g = 0..n_grid/2, for chat(theta) = sum_j c_j e^{-i j theta} and each row
-    of c: one zero-padded real FFT.  The grid rule is exact at p = 2 only
-    while the length stays within n_grid/2, and a longer row would be
-    cropped, so it is refused."""
-    if c.shape[-1] > n_grid // 2:
+def _symbol_abs_sq(c):
+    """|chat(theta_g)|^2 on the half grid theta_g = 2 pi g / N, g = 0..N/2,
+    for chat(theta) = sum_j c_j e^{-i j theta} and each row of c: one
+    zero-padded real FFT.  The grid rule is exact at p = 2 only while the
+    length stays within N/2, and a longer row would be cropped, so it is
+    refused."""
+    if c.shape[-1] > _N_GRID // 2:
         raise ValueError(
-            f"at most {n_grid // 2} coefficients fit the {n_grid}-point rule, got {c.shape[-1]}"
+            f"at most {_N_GRID // 2} coefficients fit the {_N_GRID}-point rule, got {c.shape[-1]}"
         )
-    f = np.fft.rfft(c, n=n_grid)
+    f = np.fft.rfft(c, n=_N_GRID)
     return f.real ** 2 + f.imag ** 2
-
-
-def _coeff_symbol_power(coeffs, p, n_grid=1 << 14):
-    """(|chat|^p on the half grid, scale) for the coefficients divided by
-    scale = max |c_j|, so that nothing overflows or underflows."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficient vector must be one-dimensional and nonempty")
-    if not np.isfinite(c).all():
-        raise ValueError("coefficients must be finite")
-    if not c.any():
-        raise ValueError("coefficient vector is zero; the inequality has no ratio")
-    scale = float(np.max(np.abs(c)))
-    return _symbol_abs_sq(c / scale, n_grid) ** (0.5 * p), scale
 
 
 def verify_bernstein_spline(
@@ -705,9 +699,18 @@ def verify_bernstein_spline(
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack!r}")
     bound = spline_bernstein_constant(m, k, h, p)
-    cpow, scale = _coeff_symbol_power(coeffs, p)
-    num = float(cpow @ _folded_kernel(m, k, p))
-    den = float(cpow @ _folded_kernel(m, 0, p))
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficient vector must be one-dimensional and nonempty")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    if not c.any():
+        raise ValueError("coefficient vector is zero; the inequality has no ratio")
+    # divided by max |c_j|, so that nothing overflows or underflows
+    scale = float(np.max(np.abs(c)))
+    cpow = _symbol_abs_sq(c / scale) ** (0.5 * p)
+    num = float(cpow @ _half_grid_kernel(m, k, p))
+    den = float(cpow @ _half_grid_kernel(m, 0, p))
     hf = float(h)
     # shat(w) = chat(w/h) Nhat_m(w/h) / h; substitute v = w/h in both norms
     lhs = hf ** (k - 1.0 + 1.0 / p) * num ** (1.0 / p)
@@ -719,67 +722,51 @@ def verify_bernstein_spline(
     return BernsteinCheckResult(m, k, int(h), p, lhs, rhs, ratio, ok)
 
 
-def bernstein_violation_scan(
-    n_vectors: int = 500,
-    m_values: Sequence[int] = (2, 3, 4, 5, 6),
-    h_values: Sequence[int] = (1, 2),
-    p_values: Sequence[float] = (1.5, 2.0, 3.0),
-    seed: int = 20260819,
-    slack: float = 1e-6,
-    max_len: int = 8,
-):
-    """Drive the inequality check over random coefficient vectors and every
-    (m, k < m, h, p) combination.  Returns (n_checks, violations) where
-    violations is a list of (m, k, h, p, vector_index, lhs/rhs).
+def bernstein_violation_scan(seed: int = 20260819, slack: float = 1e-6):
+    """Drive the inequality check over _SCAN_VECTORS seeded random
+    coefficient vectors and every (m, k < m, h, p) of the scan's axes.
+    Returns (n_checks, violations) where violations is a list of
+    (m, k, h, p, vector_index, lhs/rhs).
 
     lhs/rhs does not depend on h on the 1/h-step grid, so the h axis
     repeats the h = 1 comparison: each h is counted in n_checks and
     reported with its violations, but adds no coverage."""
     rng = np.random.default_rng(seed)
-    coeffs = np.zeros((n_vectors, max_len))
+    coeffs = np.zeros((_SCAN_VECTORS, _SCAN_MAX_LEN))
     for row in coeffs:
-        ln = int(rng.integers(1, max_len + 1))
+        ln = int(rng.integers(1, _SCAN_MAX_LEN + 1))
         row[:ln] = rng.uniform(-1.0, 1.0, size=ln)
-    n_grid = 1 << 14
-    abs_sq = _symbol_abs_sq(coeffs, n_grid)
-    cols = [(m, k) for m in m_values for k in range(m)]
+    abs_sq = _symbol_abs_sq(coeffs)
+    cols = [(m, k) for m in _SCAN_ORDERS for k in range(m)]
     violations = []
     n_checks = 0
-    for p in p_values:
-        kernels = np.stack([_folded_kernel(m, k, p, n_grid) for m, k in cols], axis=1)
+    for p in _SCAN_POWERS:
+        kernels = np.stack([_half_grid_kernel(m, k, p) for m, k in cols], axis=1)
         sums = dict(zip(cols, (abs_sq ** (0.5 * p) @ kernels).T))
-        for m in m_values:
+        for m in _SCAN_ORDERS:
             for k in range(1, m):
                 ratio = (sums[m, k] / sums[m, 0]) ** (1.0 / p)
-                # lhs/rhs does not depend on h (verify_bernstein_spline), so
-                # one comparison serves every h of the grid
                 rel = ratio / spline_bernstein_constant(m, k, 1, p)
                 bad = np.nonzero(rel > 1.0 + slack)[0]
-                for h in h_values:
+                for h in _SCAN_STEPS:
                     n_checks += ratio.size
                     violations.extend((m, k, h, p, int(i), float(rel[i])) for i in bad)
     return n_checks, violations
 
 
-def fejer_extremal_ratio(m: int, j: int, k: int = 1, p: float = 2.0, n_grid: int = 1 << 14) -> float:
+def fejer_extremal_ratio(m: int, j: int, k: int = 1, p: float = 2.0) -> float:
     """Weighted-to-plain norm ratio for the coefficient profile whose
     squared symbol power is the order-j Fejer kernel centered at theta=pi
     (concentrating, as j grows, at the frequency where the inequality is
     tightest)."""
     if not 1 <= k < m:
         raise ValueError("need 1 <= k < m")
-    if not 0 <= j < n_grid // 2:
-        raise ValueError(f"Fejer order j must be in [0, {n_grid // 2}) on the {n_grid}-point grid, got {j}")
-    theta = 2.0 * math.pi * np.arange(n_grid) / n_grid
-    t = theta - math.pi
-    sj = np.sin(0.5 * (j + 1) * t)
-    s1 = np.sin(0.5 * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(np.abs(s1) > 1e-12, (sj / np.where(s1 == 0.0, 1.0, s1)) ** 2, (j + 1.0) ** 2)
-    phi = phi / (j + 1.0)
-    gk = _periodized_weight_kernel(m, k, p, n_grid)
-    g0 = _periodized_weight_kernel(m, 0, p, n_grid)
-    return float((phi @ gk) / (phi @ g0)) ** (1.0 / p)
+    half = _N_GRID // 2
+    if not 0 <= j < half:
+        raise ValueError(f"Fejer order j must be in [0, {half}) on the {_N_GRID}-point grid, got {j}")
+    t = 2.0 * math.pi * np.arange(half) / _N_GRID - math.pi  # and t = 0, where the limit is appended
+    phi = np.append((np.sin(0.5 * (j + 1) * t) / np.sin(0.5 * t)) ** 2, (j + 1.0) ** 2) / (j + 1.0)
+    return float((phi @ _half_grid_kernel(m, k, p)) / (phi @ _half_grid_kernel(m, 0, p))) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +784,7 @@ def vanishing_moment_order(family: str, m: int) -> int:
     else:
         raise ValueError(f"unknown family {family!r}")
     w1, w2 = 1e-3, 1e-2
-    v1 = float(np.atleast_1d(mag(w1))[0])
-    v2 = float(np.atleast_1d(mag(w2))[0])
+    v1, v2 = mag(w1), mag(w2)
     slope = (math.log(v2) - math.log(v1)) / (math.log(w2) - math.log(w1))
     r = int(round(slope))
     if abs(slope - r) > 0.15:
@@ -949,40 +935,51 @@ def asymptotic_sweep(
     predict_rate.  The report carries pointwise relative errors, a log-log
     decay fit of those errors, and the m^{-1/2}-Richardson extrapolant of
     the measured sequence (of measured / predicted for norm targets).
+
+    The grid needs at least two distinct orders, and the queries of every
+    order are checked before the first quadrature.
     """
     index = (lambda m: m) if target in _DIAGONAL_SWEEPS else (lambda m: k)  # weight index k at order m
     if target in _NORM_SWEEPS:
         family, part, sign = _NORM_SWEEPS[target]
-        grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS[family]
-        predicted = [predict_norm_leading(target, m=m, k=index(m), p=p) for m in grid]
-        measured = [weighted_lp_norm(family, part, m, sign * float(index(m)), p, tol).value for m in grid]
-        rich = richardson_extrapolate(grid, [ms / ps for ms, ps in zip(measured, predicted)])
+        grid_key = family
+        predict = lambda m: predict_norm_leading(target, m=m, k=index(m), p=p)
+        check = lambda m: WeightedNormQuery(family, part, m, sign * float(index(m)), float(p), tol)
+        measure = lambda m: weighted_lp_norm(family, part, m, sign * float(index(m)), p, tol).value
     elif target in _LIMIT_SWEEPS:
         family, part = _LIMIT_SWEEPS[target]
-        grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS[family]
-        predicted = [predict_limit(target, k=k, p=p)] * len(grid)
-        measured = [ckp(family, part, m, k, p, tol).ratio for m in grid]
-        rich = richardson_extrapolate(grid, measured)
+        grid_key = family
+        predict = lambda m: predict_limit(target, k=k, p=p)
+        check = lambda m: _ckp_query(family, part, m, k, p, tol)
+        measure = lambda m: ckp(family, part, m, k, p, tol).ratio
     elif target in _RATE_SWEEPS:
         grid_key, num, den = _RATE_SWEEPS[target]
-        grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS[grid_key]
+        if target not in _DIAGONAL_SWEEPS and k < 1:
+            raise ValueError(f"a rate is a k-th root and needs k >= 1, got k = {k}")
+        predict = lambda m: predict_rate(target)
+        check = lambda m: [_ckp_query(f, "psi", m, index(m), p, tol) for f in (num, den) if f]
 
-        def rate(m):
+        def measure(m):
             r = ckp(num, "psi", m, index(m), p, tol).ratio
             if den is not None:
                 r /= ckp(den, "psi", m, index(m), p, tol).ratio
             return r ** (1.0 / index(m))
-
-        predicted = [predict_rate(target)] * len(grid)
-        measured = [rate(m) for m in grid]
-        rich = richardson_extrapolate(grid, measured)
     else:
         raise ValueError(f"unknown sweep target {target!r}")
 
+    grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS[grid_key]
+    if len(grid) < 2 or len(set(grid)) < len(grid):
+        raise ValueError(f"a sweep needs at least two distinct orders, got {list(grid)}")
+    for m in grid:
+        check(m)
+    predicted = [predict(m) for m in grid]
+    measured = [measure(m) for m in grid]
+    scaled = [ms / ps for ms, ps in zip(measured, predicted)] if target in _NORM_SWEEPS else measured
     rel = [abs(ms - ps) / abs(ps) for ms, ps in zip(measured, predicted)]
     lm = np.log(np.asarray(grid, dtype=float))
     le = np.log(np.maximum(rel, 1e-300))
-    slope = float(np.polyfit(lm, le, 1)[0]) if len(grid) >= 2 else math.nan
+    slope = float(np.polyfit(lm, le, 1)[0])
     return AsymptoticReport(
-        target, tuple(grid), tuple(measured), tuple(predicted), tuple(rel), slope, rich
+        target, grid, tuple(measured), tuple(predicted), tuple(rel), slope,
+        richardson_extrapolate(grid, scaled),
     )

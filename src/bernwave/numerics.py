@@ -1,5 +1,5 @@
-"""Shared numerical kernels: bracketed root finding and polynomial roots,
-the real ones isolated in exact integer arithmetic.
+"""Shared numerical kernels: bracketed and polynomial roots, the real ones
+isolated in exact integer arithmetic, and the transforms' scalar/array policy.
 
 Everything in this module is wavelet-agnostic.  The family modules build on
 these primitives, and the test suite exercises them directly against
@@ -8,6 +8,7 @@ elementary closed forms.  Quadrature lives with its only user, norms.py.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -15,10 +16,25 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "scalar_or_array",
     "find_root_bracketed",
     "poly_real_roots",
     "poly_complex_roots",
 ]
+
+
+def scalar_or_array(transform):
+    """Wrap transform(m, omega, ...), written for float arrays of at least one
+    dimension: a 0-d omega then gives a Python float (complex for a complex
+    transform), and any other omega an array of its own shape."""
+
+    @functools.wraps(transform)
+    def wrapped(m, omega, *args, **kwargs):
+        w = np.asarray(omega, dtype=float)
+        out = transform(m, np.atleast_1d(w), *args, **kwargs)
+        return out if w.ndim else out.item()
+
+    return wrapped
 
 
 # ---------------------------------------------------------------------------

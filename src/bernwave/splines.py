@@ -16,6 +16,8 @@ from typing import List
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
+from .numerics import scalar_or_array
+
 __all__ = [
     "bspline_value",
     "bspline_integer_values",
@@ -40,6 +42,7 @@ def _check_order(m: int):
 # ---------------------------------------------------------------------------
 
 
+@scalar_or_array
 def bspline_value(m: int, x):
     """Cardinal B-spline of order m (support [0, m]) at x, vectorised.
 
@@ -47,9 +50,6 @@ def bspline_value(m: int, x):
     expansion (which cancels catastrophically for large m).
     """
     _check_order(m)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     # triangle of shifted order-1 values
     cols = [np.where((x - j >= 0.0) & (x - j < 1.0), 1.0, 0.0) for j in range(m)]
     for order in range(2, m + 1):
@@ -58,8 +58,7 @@ def bspline_value(m: int, x):
             t = x - j
             nxt.append((t * cols[j] + (order - t) * cols[j + 1]) / (order - 1))
         cols = nxt
-    out = cols[0]
-    return float(out[0]) if scalar else out
+    return cols[0]
 
 
 @lru_cache(maxsize=None)
@@ -131,16 +130,14 @@ def _log_abs_sinc(u: np.ndarray) -> np.ndarray:
         return np.log(np.abs(q))
 
 
+@scalar_or_array
 def bspline_ft_magnitude(m: int, omega):
     """|FT of N_m| = (2*pi)^{-1/2} |sin(w/2) / (w/2)|^m, evaluated stably."""
     _check_order(m)
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.exp(m * _log_abs_sinc(w / 2.0)) / _SQRT_2PI
-    return float(out[0]) if scalar else out
+    return np.exp(m * _log_abs_sinc(omega / 2.0)) / _SQRT_2PI
 
 
+@scalar_or_array
 def autocorrelation_symbol(m: int, omega):
     """The 2*pi-periodic autocorrelation symbol sum_k N_{2m}(m+k) cos(k w).
 
@@ -151,10 +148,7 @@ def autocorrelation_symbol(m: int, omega):
     minimum at w = pi.
     """
     _check_order(m)
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    th = np.mod(w, 2.0 * np.pi)
+    th = np.mod(omega, 2.0 * np.pi)
     r = th / (2.0 * np.pi)
     s = 2 * m
     out = np.zeros_like(th)
@@ -163,7 +157,7 @@ def autocorrelation_symbol(m: int, omega):
     # remaining lattice points: (sin(pi r)/pi)^s * (zeta(s,3+r) + zeta(s,3-r))
     rem = (np.sin(np.pi * r) / np.pi) ** s
     out += rem * (_hurwitz_zeta(s, 3.0 + r) + _hurwitz_zeta(s, 3.0 - r))
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _log_wavelet_regular(m: int, u: np.ndarray) -> np.ndarray:
@@ -177,18 +171,18 @@ def _log_wavelet_regular(m: int, u: np.ndarray) -> np.ndarray:
     )
 
 
+@scalar_or_array
 def spline_wavelet_magnitude(m: int, omega):
     """|FT of the order-m spline wavelet|:
     (2*pi)^{-1/2} |sin^2(w/4) / (w/4)|^m * (autocorrelation symbol at w/2 + pi).
     """
     _check_order(m)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
     with np.errstate(divide="ignore"):
-        logw = np.log(np.abs(w))
-    out = np.exp(m * logw + _log_wavelet_regular(m, w)) / _SQRT_2PI
-    return float(out[0]) if np.asarray(omega).ndim == 0 else out
+        logw = np.log(np.abs(omega))
+    return np.exp(m * logw + _log_wavelet_regular(m, omega)) / _SQRT_2PI
 
 
+@scalar_or_array
 def spline_wavelet_ft(m: int, omega):
     """Complex FT of the order-m spline wavelet (one fixed phase convention).
 
@@ -199,16 +193,6 @@ def spline_wavelet_ft(m: int, omega):
     go through spline_wavelet_magnitude, which works in the log domain.
     """
     _check_order(m)
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    A = autocorrelation_symbol(m, w / 2.0 + np.pi)
-    core = (1j * w / 4.0) ** m * np.sinc(w / (4.0 * np.pi)) ** (2 * m)
-    out = (
-        (-1.0) ** (m - 1)
-        / _SQRT_2PI
-        * core
-        * A
-        * np.exp(-1j * (2 * m - 1) * w / 2.0)
-    )
-    return complex(out[0]) if scalar else out
+    A = autocorrelation_symbol(m, omega / 2.0 + np.pi)
+    core = (1j * omega / 4.0) ** m * np.sinc(omega / (4.0 * np.pi)) ** (2 * m)
+    return (-1.0) ** (m - 1) / _SQRT_2PI * core * A * np.exp(-1j * (2 * m - 1) * omega / 2.0)

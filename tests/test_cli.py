@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -293,6 +294,14 @@ def _one_line_refusal(capsys, argv, code):
     ["constants", "--set", "favard", "--j-max", "10001"],
     ["mask", "--family", "spline", "--m", "41"],
     ["mask", "--family", "spline", "--m", "1100", "--part", "psi"],
+    ["tensor", "--family", "spline", "--kind", "3", "--m", "3", "--k1", "1", "--k2", "1",
+     "--limit-only", "--tol", "inf"],
+    ["tensor", "--family", "spline", "--kind", "3", "--m", "3", "--k1", "1", "--k2", "1",
+     "--limit-only", "--tol", "-1"],
+    ["tensor", "--family", "daubechies", "--kind", "3", "--m", "4", "--k1", "1", "--k2", "1",
+     "--limit-only", "--tol", "nan"],
+    ["sweep", "--target", "fixedKRatio", "--m-grid", "10,12", "--k", "0"],
+    ["sweep", "--target", "splinePsiK", "--m-grid", "5,10,10"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     err = _one_line_refusal(capsys, argv, 2)
@@ -405,6 +414,7 @@ _FAMILY = st.sampled_from(["spline", "daubechies"])
 _PART = st.sampled_from(["phi", "psi"])
 _GOOD_P = st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.01, 20.0))
 _WILD_P = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1.0, 0.5]), st.floats())
+_WILD_TOL = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]), st.floats())
 
 
 def _ckp_argv(family, part, m, k, p=2.0, tol=1e-8):
@@ -457,15 +467,19 @@ def _finite_numbers(row):
     k1=_mostly(st.integers(0, 4), st.integers(-2, 60)),
     k2=_mostly(st.integers(0, 4), st.integers(-2, 60)),
     p=_mostly(_GOOD_P, _WILD_P),
+    tol=_mostly(st.one_of(st.just(1e-6), st.floats(1e-12, 1e-2)), _WILD_TOL),
 )
-@example(family="daubechies", kind="3", m=4, k1=1, k2=1, p=math.nan)
-@example(family="daubechies", kind="3", m=-4, k1=1, k2=1, p=2.0)
-def test_tensor_limit_only_cli_never_crashes(family, kind, m, k1, k2, p):
+@example(family="daubechies", kind="3", m=4, k1=1, k2=1, p=math.nan, tol=1e-6)
+@example(family="daubechies", kind="3", m=-4, k1=1, k2=1, p=2.0, tol=1e-6)
+@example(family="spline", kind="3", m=3, k1=1, k2=1, p=2.0, tol=math.inf)
+def test_tensor_limit_only_cli_never_crashes(family, kind, m, k1, k2, p, tol):
     code, out, err = _run_quiet(["tensor", f"--family={family}", f"--kind={kind}", f"--m={m}",
-                                 f"--k1={k1}", f"--k2={k2}", f"--p={p!r}", "--limit-only"])
+                                 f"--k1={k1}", f"--k2={k2}", f"--p={p!r}", f"--tol={tol!r}",
+                                 "--limit-only"])
     rows = _assert_refusal_or_strict_json("tensor", code, out, err)
     if rows is not None:
         assert _finite_numbers(rows[0])
+        assert math.isfinite(tol) and tol > 0.0
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -483,3 +497,62 @@ def test_sharpness_cli_never_crashes(m, k, p, j_list):
     rows = _assert_refusal_or_strict_json("sharpness", code, out, err)
     if rows is not None:
         assert len(rows) == len(j_list) and all(_finite_numbers(r) for r in rows)
+
+
+def test_sweep_refuses_bad_order_before_any_quadrature(capsys):
+    # the out-of-range order comes last; four Daubechies ratios used to run first
+    t0 = time.perf_counter()
+    err = _one_line_refusal(capsys, ["sweep", "--target", "daubPsiK", "--m-grid", "10,12,14,16,21"], 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert "beyond supported limit" in err
+
+
+_SWEEP_TARGETS = {
+    # target -> largest order every family it measures supports
+    "splinePhiNorm": 40, "splinePsiNorm": 40, "splineDiagNorm": 40, "daubPhiNorm": 20,
+    "daubPsiNorm": 20, "daubPhiMinusK": 20, "daubPsiK": 20, "splinePhiK": 40, "splinePsiK": 40,
+    "splineGeom": 40, "daubGeom": 20, "geomRatio": 20, "fixedKRatio": 20,
+}
+_KNOWN_TARGET = st.sampled_from(sorted(_SWEEP_TARGETS))
+_GOOD_GRID = st.lists(st.integers(2, 20), min_size=2, max_size=5, unique=True)
+
+
+def _sweep_argv(target, grid, p=2.0, tol=1e-6, extra=()):
+    return ["sweep", f"--target={target}", "--m-grid=" + ",".join(map(str, grid)), f"--p={p!r}",
+            f"--tol={tol!r}", *extra]
+
+
+def _grid_with_bad_order(target, grid, bad, where):
+    grid = list(grid)
+    grid.insert(where % (len(grid) + 1), bad)
+    return _sweep_argv(target, grid)
+
+
+# every draw is a sweep that must be refused before its first quadrature
+_SWEEP_REFUSED = st.one_of(
+    st.builds(_sweep_argv, st.text(max_size=12).filter(lambda s: s not in _SWEEP_TARGETS), _GOOD_GRID),
+    # fewer than two orders
+    st.builds(_sweep_argv, _KNOWN_TARGET, st.lists(st.integers(2, 20), max_size=1)),
+    # one order not positive, or past a measured family's limit, anywhere in the grid
+    st.builds(_grid_with_bad_order, _KNOWN_TARGET, _GOOD_GRID, st.integers(-10**6, 0), st.integers(0, 5)),
+    _KNOWN_TARGET.flatmap(lambda t: st.builds(
+        _grid_with_bad_order, st.just(t), _GOOD_GRID,
+        st.integers(_SWEEP_TARGETS[t] + 1, 10**40), st.integers(0, 5))),
+    # p at or below 1, or not finite
+    st.builds(lambda t, g, p: _sweep_argv(t, g, p=p), _KNOWN_TARGET, _GOOD_GRID,
+              st.one_of(st.floats(max_value=1.0), st.sampled_from([math.nan, math.inf, -math.inf]))),
+    # tolerance not positive, or not finite
+    st.builds(lambda t, g, tol: _sweep_argv(t, g, tol=tol), _KNOWN_TARGET, _GOOD_GRID,
+              st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))),
+    # an explicit grid together with a range
+    st.builds(lambda t, g, lo: _sweep_argv(t, g, extra=(f"--m-min={lo}", f"--m-max={lo + 3}")),
+              _KNOWN_TARGET, _GOOD_GRID, st.integers(2, 10)),
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(argv=_SWEEP_REFUSED)
+def test_sweep_cli_refuses_bad_input_with_one_line(argv):
+    code, out, err = _run_quiet(argv)
+    assert code == 2, (argv, err)
+    _assert_refusal_or_strict_json("sweep", code, out, err)

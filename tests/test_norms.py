@@ -16,15 +16,15 @@ from bernwave.daubechies import daub_phi_hat_magnitude, daub_psi_hat_magnitude
 from bernwave.norms import (
     WeightedNormQuery,
     _composite_integrate,
-    _folded_kernel,
+    _N_GRID,
     _make_integrand,
     _real_line_integral,
     asymptotic_sweep,
     bernstein_violation_scan,
     ckp,
     coefficient_bound_check,
-    _coeff_symbol_power,
-    _periodized_weight_kernel,
+    _half_grid_kernel,
+    _symbol_abs_sq,
     fejer_extremal_ratio,
     richardson_extrapolate,
     vanishing_moment_order,
@@ -218,15 +218,14 @@ def test_violation_scan_worst_ratio_frozen():
 
 
 def test_coeff_symbol_equals_explicit_sum():
-    # |sum_j c_j e^{-i j theta}| on the half grid theta_g = 2 pi g / N
-    n_grid = 1 << 14
-    theta = 2.0 * math.pi * np.arange(n_grid // 2 + 1) / n_grid
+    # |sum_j c_j e^{-i j theta}|^2 on the half grid theta_g = 2 pi g / N
+    theta = 2.0 * math.pi * np.arange(_N_GRID // 2 + 1) / _N_GRID
     rng = np.random.default_rng(3)
     for n in range(1, 65):
         c = rng.uniform(-1.0, 1.0, size=n)
         explicit = np.abs(np.exp(-1j * np.outer(theta, np.arange(n))) @ c)
-        values, scale = _coeff_symbol_power(c, 1.0)
-        np.testing.assert_allclose(scale * values, explicit, rtol=0, atol=1e-13, err_msg=str(n))
+        values = np.sqrt(_symbol_abs_sq(c))
+        np.testing.assert_allclose(values, explicit, rtol=0, atol=1e-13, err_msg=str(n))
 
 
 def _gram_sum(c, m, k):
@@ -301,15 +300,17 @@ def test_verify_bernstein_h_scaling():
 
 
 def test_bernstein_constant_is_periodized_supremum():
-    # the sine factors cancel in G_k/G_0; its grid maximum sits at theta = pi
-    # and equals pi^k (lambda((m-k)p) / lambda(mp))^{1/p}
+    # the sine factors cancel in G_k/G_0 (and so do the trapezoid weights);
+    # its maximum over the half grid sits at its last point, theta = pi, and
+    # equals pi^k (lambda((m-k)p) / lambda(mp))^{1/p}
     for m in range(2, 7):
-        g0 = {p: _periodized_weight_kernel(m, 0, p) for p in (1.5, 2.0, 3.0)}
+        g0 = {p: _half_grid_kernel(m, 0, p) for p in (1.5, 2.0, 3.0)}
         for k in range(1, m):
             for p in (1.5, 2.0, 3.0):
-                gk = _periodized_weight_kernel(m, k, p)
+                gk = _half_grid_kernel(m, k, p)
                 ratio = (gk[1:] / g0[p][1:]) ** (1.0 / p)
-                assert int(np.argmax(ratio)) + 1 == gk.size // 2, (m, k, p)
+                assert gk.size == _N_GRID // 2 + 1
+                assert int(np.argmax(ratio)) + 1 == gk.size - 1, (m, k, p)
                 assert spline_bernstein_constant(m, k, p=p) == pytest.approx(
                     float(ratio.max()), rel=1e-12
                 ), (m, k, p)
@@ -521,14 +522,37 @@ def test_composite_integrate_checks_error_when_the_sum_cancels():
 
 
 def test_kernel_caches_are_bounded():
-    _folded_kernel.cache_clear()
-    _periodized_weight_kernel.cache_clear()
+    _half_grid_kernel.cache_clear()
     for i in range(600):
-        _folded_kernel(3, 1, 1.5 + i / 1024.0, 64)
-    assert _folded_kernel.cache_info().currsize <= 512
-    assert _periodized_weight_kernel.cache_info().currsize <= 512
-    _folded_kernel.cache_clear()
-    _periodized_weight_kernel.cache_clear()
+        _half_grid_kernel(3, 1, 1.5 + i / 1024.0)
+    assert _half_grid_kernel.cache_info().currsize <= 512
+    _half_grid_kernel.cache_clear()
+
+
+def _lattice_weight_mpmath(m, k, p, g):
+    """(2 pi / N) c_g G(theta_g) at 40 digits, c_g = 1 at g = 0 and N/2 and 2
+    between: G summed over the lattice, |Nhat_m(w)| = (2 pi)^{-1/2}
+    |2 sin(w/2) / w|^m, term by term for |l| < 64 and by mpmath's Hurwitz
+    zeta beyond, where each term is S^{mp} |theta + 2 pi l|^{-(m - k) p}."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        n = mpmath.mpf(_N_GRID)
+        theta = 2 * mpmath.pi * g / n
+        r = theta / (2 * mpmath.pi)
+        s = (m - k) * mpmath.mpf(p)
+        near = mpmath.fsum(abs(theta + 2 * mpmath.pi * l) ** -s for l in range(-63, 64))
+        far = (2 * mpmath.pi) ** -s * (mpmath.zeta(s, 64 + r) + mpmath.zeta(s, 64 - r))
+        lattice = abs(2 * mpmath.sin(theta / 2)) ** (m * p) * (near + far)
+        c = 1 if g in (0, _N_GRID // 2) else 2
+        return float(2 * mpmath.pi / n * c * (2 * mpmath.pi) ** (-p / 2) * lattice)
+
+
+@pytest.mark.parametrize("m, k, p", [(7, 3, 2.5), (13, 6, 3.0), (4, 1, 1.5)])
+def test_half_grid_kernel_matches_lattice_sum(m, k, p):
+    w = _half_grid_kernel(m, k, p)
+    for g in (1, 2, 5, 100, _N_GRID // 2):
+        assert w[g] == pytest.approx(_lattice_weight_mpmath(m, k, p, g), rel=1e-13), g
 
 
 _PUBLIC_MAGNITUDE = {

@@ -4,8 +4,39 @@ import mpmath
 import numpy as np
 import pytest
 
+from bernwave import daubechies, splines
 from bernwave.numerics import find_root_bracketed, poly_complex_roots, poly_real_roots
 from bernwave.splines import euler_frobenius
+
+_TRANSFORMS = [
+    (splines.bspline_value, float),
+    (splines.bspline_ft_magnitude, float),
+    (splines.autocorrelation_symbol, float),
+    (splines.spline_wavelet_magnitude, float),
+    (splines.spline_wavelet_ft, complex),
+    (daubechies.daub_symbol_squared, float),
+    (daubechies.daub_phi_hat_magnitude, float),
+    (daubechies.daub_psi_hat_magnitude, float),
+    (daubechies.daub_phi_hat_complex, complex),
+    (daubechies.daub_psi_hat_complex, complex),
+]
+
+
+@pytest.mark.parametrize("transform, scalar_type", _TRANSFORMS, ids=lambda v: getattr(v, "__name__", ""))
+def test_transforms_share_scalar_array_policy(transform, scalar_type):
+    # a 0-d input gives a Python scalar; 1-d and 2-d inputs give an array of
+    # their own shape.  Values agree to the certified magnitudes' tolerance,
+    # whose product depth follows the largest node of a call
+    grid = np.array([[0.0, 0.7, 1.3], [2.5, math.pi, 9.0]])
+    full = transform(3, grid)
+    assert isinstance(full, np.ndarray) and full.shape == grid.shape
+    row = transform(3, grid[1])
+    assert isinstance(row, np.ndarray) and row.shape == (3,)
+    np.testing.assert_allclose(row, full[1], rtol=1e-11)
+    for x in (1.3, np.float64(1.3), np.array(1.3), 2):
+        v = transform(3, x)
+        assert type(v) is scalar_type, (x, type(v))
+        assert v == pytest.approx(transform(3, np.array([float(x)]))[0], rel=1e-11)
 
 
 def test_find_root_cos():
