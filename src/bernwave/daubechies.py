@@ -61,6 +61,34 @@ def _p_coeffs(m: int) -> Tuple[float, ...]:
     return tuple(float(_comb(m - 1 + v, v, exact=True)) for v in range(m))
 
 
+@lru_cache(maxsize=None)
+def _p_laurent(m: int) -> Tuple[int, ...]:
+    """Integers R_j, j = 1-m..m-1, with P(sin^2(w/2)) = 4^{1-m} sum_j R_j e^{ijw}:
+    y = sin^2(w/2) = (2 - z - 1/z)/4 at z = e^{iw}, so 4^{m-1} y^v contributes
+    4^{m-1-v} (-1)^j C(2v, v+j) at z^j."""
+    out = [0] * (2 * m - 1)
+    for v in range(m):
+        c = math.comb(m - 1 + v, v) << (2 * (m - 1 - v))
+        for j in range(-v, v + 1):
+            out[m - 1 + j] += (-c if j % 2 else c) * math.comb(2 * v, v + j)
+    return tuple(out)
+
+
+def _symbol_coefficients(m: int, c: int, high: bool = False) -> np.ndarray:
+    """Integer Laurent coefficients, j = -D..D with D = c + m - 1, of
+    4^D cos^{2c}(w/2) P(sin^2(w/2)), or with high=True of
+    4^D sin^{2c}(w/2) P(cos^2(w/2)), as an object array.
+
+    4 cos^2(w/2) = z^{-1} (1 + z)^2, so the first is the binomial row
+    C(2c, c + j) convolved with _p_laurent(m); w -> w + pi swaps sine and
+    cosine and multiplies the coefficient of z^j by (-1)^j."""
+    row = np.array([math.comb(2 * c, i) for i in range(2 * c + 1)], dtype=object)
+    out = np.convolve(row, np.array(_p_laurent(m), dtype=object))
+    if high:
+        out[1 - (c + m - 1) % 2 :: 2] *= -1
+    return out
+
+
 def binomial_tail_constant(m: int) -> float:
     """c_m = Gamma(m + 1/2) / (sqrt(pi) Gamma(m)): the normaliser in the
     integral form of the squared symbol, and the sharp constant in the

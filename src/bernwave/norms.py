@@ -15,17 +15,31 @@ query is admissible at 0 exactly when (z + alpha) p > -1.
 
 One quadrature engine serves every integral here: composite
 Gauss-Legendre panels (GL15 value, GL7 check) that split where the two
-disagree.  For a norm it integrates w^{alpha*p} |fhat(w)|^p over
-(0, Omega) on panels aligned to multiples of pi (all kinks of |sin|^q
-live there) with a dyadic stack toward w = 0, and a rigorous bound on the
-tail beyond Omega is added.  The coefficient bound's real-line integrals
-run on the same engine in a doubling window, with an absolute floor for
-the signed ones.  Spline transforms have elementary envelopes, so their
-tails are closed-form.  For the orthonormal family the tail comes from a
-certified symbol-product estimate: |phihat(w)|^2 equals
-(2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j) with B >= 1 a fixed
-trigonometric polynomial, and grid-plus-Bernstein-inflation suprema of
-the partial products give an explicit octave-by-octave envelope.
+disagree.  For a norm off the exact p = 2 route (below) it integrates
+w^{alpha*p} |fhat(w)|^p over (0, Omega) on panels aligned to multiples of
+pi (all kinks of |sin|^q live there) with a dyadic stack toward w = 0, and
+a rigorous bound on the tail beyond Omega is added.  The coefficient
+bound's real-line integrals run on the same engine in a doubling window,
+with an absolute floor for the signed ones.  Spline transforms have
+elementary envelopes, so their tails are closed-form.  For the orthonormal
+family the tail comes from a certified symbol-product estimate:
+|phihat(w)|^2 equals (2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j) with
+B >= 1 a fixed trigonometric polynomial, and grid-plus-Bernstein-inflation
+suprema of the partial products give an explicit octave-by-octave envelope.
+
+At p = 2 with an integer alpha no quadrature runs: weighted_lp_norm takes
+an exact route, chosen from the query alone.  A spline's weighted transform
+is the transform of another spline, so its squared norm is a Gram sum of
+integer B-spline values, summed in Python integers and rounded once.  For
+the orthonormal family it is a finite combination of the samples at
+integers of an autocorrelation Phi_c whose squared symbol
+cos^{2c}(w/2) P(sin^2(w/2)) has rational coefficients: an eigenvector of the
+refinement matrix, solved in float64 and certified a posteriori (a
+verified bound on the inverse, an exact integer residual, refinement
+steps until the bound is negligible).  A positive weight is first proved
+finite from powers of the transfer matrix of the symbol product.  Such a
+result has panels = 0, tail_bound = 0.0 and cutoff = pi, and a
+certified_rel_error of a few units in the last place.
 
 The Bernstein side (spline expansions, Fejer profiles) needs no engine: its
 norms are 2^14-point trapezoid sums of |chat|^p against a periodized weight,
@@ -130,12 +144,21 @@ class WeightedNormQuery:
 
 @dataclass(frozen=True)
 class NormResult:
+    """A certified norm: |value / exact - 1| <= certified_rel_error.
+
+    From the quadrature route, cutoff is the upper end of the window, panels
+    the number of Gauss-Legendre panels on it and tail_bound the rigorous
+    bound on the p-th power beyond it.  From the exact route (p = 2, integer
+    alpha) there is no window: panels = 0 and tail_bound = 0.0, and cutoff
+    is pi, finite and positive so that log2(cutoff / pi) = 0 reads as "no
+    cutoff search"."""
+
     query: WeightedNormQuery
     value: float
     certified_rel_error: float
-    cutoff: float        # upper end of the quadrature window
+    cutoff: float        # upper end of the quadrature window; pi on the exact route
     tail_bound: float    # rigorous bound on the discarded tail of the p-th power
-    panels: int
+    panels: int          # quadrature panels; 0 on the exact route
 
 
 @dataclass(frozen=True)
@@ -395,34 +418,48 @@ def _daub_tail_certificate(m: int, block: int = 12, grid_pow: int = 22) -> _Daub
     return _DaubTailCertificate(m, block, tuple(log2_t), bmax, log_e, sigma)
 
 
+def _folded_decimation(h: np.ndarray, size: int) -> np.ndarray:
+    """The map f -> ((h f)(w/2) + (h f)(w/2 + pi)) / 2 on even trigonometric
+    polynomials, for the centered coefficient array h of an even one: the
+    output's coefficient of e^{ilw} is sum_j h_{2l-j} f_j.  Folded onto the
+    coefficients f_0..f_{size-1} of an even f (f_{-j} = f_j) its matrix has
+    entries h_{2l} (j = 0) and h_{2l-j} + h_{2l+j} (j >= 1); h keeps its
+    dtype, so integer coefficients give an exact integer matrix."""
+    half = (len(h) - 1) // 2
+    padded = np.concatenate([h, np.zeros(3 * size, dtype=h.dtype)])
+    row = 2 * np.arange(size)[:, None] + half
+    col = np.arange(size)[None, :]
+    out = padded[row - col] + padded[row + col]
+    out[:, 0] = padded[row[:, 0]]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _daub_transfer(m: int) -> np.ndarray:
+    """Folded matrix of the transfer map (Tf)(w) = ((B f)(w/2) + (B f)(w/2 + pi))/2
+    with B(w) = P(sin^2(w/2)), on cosine polynomials of degree < m (an
+    invariant space).  mean(prod_{i<n} B(2^i theta)) = mean(T^n 1) exactly, so
+    the octave means of the symbol product are the (0, 0) entries of T^n.
+    Entries are integers over 4^{m-1}, each rounded once."""
+    h = np.array(_daub._p_laurent(m), dtype=object)
+    return np.ldexp(_folded_decimation(h, m).astype(float), -2 * (m - 1))
+
+
 @lru_cache(maxsize=None)
 def _daub_mean_table(m: int, n_max: int = 70):
-    """log of Q_n = mean over [0, 2 pi) of prod_{i<n} B(2^i theta), n <= n_max.
-
-    B maps cosine polynomials of degree < m into themselves under the
-    weighted decimation (Tf)(w) = (B f)(w/2)/2 + (B f)(w/2 + pi)/2, and
-    int Pi_n = int T^n 1 exactly, so the whole sequence of octave means
-    follows from powers of one m-dimensional linear map.  Means decay a
-    full Sobolev order faster than the sup table, which is what makes
-    slowly decaying weighted L_2 tails computable."""
-    pc = np.asarray(_daub._p_coeffs(m))
-    # cosine coefficients of B: substitute y = (1 - c)/2, expand in Chebyshev
-    q = np.polynomial.Polynomial(pc)(np.polynomial.Polynomial([0.5, -0.5]))
-    b_cos = np.polynomial.chebyshev.poly2cheb(q.coef)
-    kb = len(b_cos) - 1
-    b_two = np.zeros(2 * kb + 1)
-    b_two[kb] = b_cos[0]
-    for j in range(1, kb + 1):
-        b_two[kb + j] = b_two[kb - j] = 0.5 * b_cos[j]
-    c = np.array([1.0])  # two-sided coefficients of T^n 1, centered
+    """log of Q_n = mean over [0, 2 pi) of prod_{i<n} B(2^i theta), n <= n_max,
+    from powers of the m-dimensional transfer map _daub_transfer(m) applied
+    to the constant 1.  Means decay a full Sobolev order faster than the sup
+    table, which is what makes slowly decaying weighted L_2 tails
+    computable."""
+    t = _daub_transfer(m)
+    c = np.zeros(m)
+    c[0] = 1.0  # folded coefficients of T^n 1, renormalised to mean 1
     log_q = [0.0]
     acc = 0.0
     for _ in range(n_max):
-        h = np.convolve(c, b_two)
-        center = len(h) // 2
-        kmax = min(center // 2, m - 1)
-        c = h[center - 2 * kmax : center + 2 * kmax + 1 : 2]
-        mid = c[len(c) // 2]
+        c = t @ c
+        mid = c[0]
         if not mid > 0.0:
             raise RuntimeError("octave-mean recursion lost positivity")
         c = c / mid
@@ -527,6 +564,208 @@ def _tail(q: WeightedNormQuery, omega):
 
 
 # ---------------------------------------------------------------------------
+# exact p = 2 norms for integer weights
+# ---------------------------------------------------------------------------
+
+_U = 2.0 ** -53  # unit roundoff of float64
+# refinement steps of the Daubechies solve, each against an exact residual
+_REFINE_STEPS = 3
+# squarings of the scaled transfer matrix before finiteness is given up
+_FINITE_SQUARINGS = 16
+
+
+def _dyadic(num: int, e: int) -> float:
+    """num * 2^e, correctly rounded."""
+    return float(num << e) if e >= 0 else num / (1 << -e)
+
+
+def _inf_norm(x: np.ndarray) -> float:
+    return float(np.max(np.sum(np.abs(x), axis=-1)))
+
+
+@lru_cache(maxsize=None)
+def _spline_wavelet_autocorrelation(m: int) -> np.ndarray:
+    """sum_v e_v e_{v+d}, d = 0..2m-2, of the integers
+    e_v = (-1)^v (2m-1)! N_{2m}(v+1) = 2^{m-1} (2m-1)! q_v."""
+    e = np.array(_spl._eulerian_row(2 * m), dtype=object)
+    e[1::2] *= -1
+    return np.convolve(e, e[::-1])[2 * m - 2 :]
+
+
+def _spline_l2_squared(part: str, m: int, alpha: int) -> float:
+    """|| |w|^alpha fhat ||_2^2 for the order-m B-spline or spline wavelet,
+    computed in integers and rounded once.
+
+    |w|^alpha |fhat| is the transform modulus of a spline of order
+    n = m - alpha: the alpha-th derivative (an antiderivative for alpha < 0)
+    N_m^{(alpha)} = sum_i (-1)^i C(alpha, i) N_n(x - i), or for the wavelet
+    psi = sum_v q_v N_{2m}^{(m)}(2x - v), 2^alpha sum_j c_j N_n(2x - j) with c
+    the q_v differenced r = m + alpha times.  Plancherel turns its squared
+    norm into the Gram sum sum_d A(d) N_{2n}(n + d), A the autocorrelation of
+    the coefficients (halved on the half grid).  Differencing r times
+    convolves A with (-1, 2, -1) r times, so the differences are taken of the
+    short row of Eulerian numbers (2n-1)! N_{2n}(n + d) instead, and the
+    per-order autocorrelation of the q_v is cached.  The sum cancels by up
+    to 14 digits at m = 40, which integers do not mind."""
+    n = m - alpha
+    if part == "phi":
+        auto, r, e2, den = np.array([1], dtype=object), alpha, 0, math.factorial(2 * n - 1)
+    else:
+        auto, r = _spline_wavelet_autocorrelation(m), m + alpha
+        e2 = 2 * alpha + 1 - 2 * m
+        den = math.factorial(2 * m - 1) ** 2 * math.factorial(2 * n - 1)
+    h = np.array(_spl._eulerian_row(2 * n), dtype=object)
+    zero = np.zeros(2, dtype=object)
+    for _ in range(r):
+        padded = np.concatenate([zero, h, zero])
+        h = 2 * padded[1:-1] - padded[:-2] - padded[2:]
+    c = (len(h) - 1) // 2
+    width = min(len(auto), c + 1)
+    sym = h[c : c + width] + h[c - width + 1 : c + 1][::-1]
+    sym[0] = h[c]
+    total = int(np.dot(auto[:width], sym))
+    return total / (den << -e2) if e2 < 0 else (total << e2) / den
+
+
+def _daub_weight_is_finite(m: int, alpha: int) -> bool:
+    """True once || |w|^alpha phihat ||_2 < inf is proved (alpha >= 1).
+
+    On the octave [pi 2^n, pi 2^{n+1}) the squared weighted transform has
+    mass at most a constant times 2^{n(2 alpha - 2m + 1)} Q_n, Q_n the mean of
+    prod_{i<n} B(2^i theta) (see _daub_tail_mean_route), and Q_n is at most
+    ||T^n||_inf for the transfer matrix T of _daub_transfer.  So the norm is
+    finite when ||(T / tau)^N||_inf < 1 for some N, tau = 2^{2m-1-2 alpha}
+    (Villemoes 1994).  N runs through 1, 2, 4, ... by squaring in float64;
+    eps carries a bound on the distance to the exact power: T's one rounding
+    per entry, then per product ||X^2 - S^2|| <= (2 ||S|| + eps) eps plus
+    the rounding gamma_m ||S||^2 of the product itself."""
+    g = (m + 4) * _U / (1.0 - (m + 4) * _U)
+    s = np.ldexp(_daub_transfer(m), -(2 * m - 1 - 2 * alpha))
+    eps = _U * _inf_norm(s) * (1.0 + g)
+    for _ in range(_FINITE_SQUARINGS + 1):
+        ns = _inf_norm(s) * (1.0 + g)
+        if ns + eps < 1.0:
+            return True
+        if not ns < 1e100:
+            return False
+        eps = ((2.0 * ns + eps) * eps + g * ns * ns) * (1.0 + g)
+        s = s @ s
+    return False
+
+
+def _common_integers(parts):
+    """Integers V and an exponent E with sum(parts) = V 2^E exactly, for a
+    list of float arrays of one length."""
+    fr = [np.frexp(x) for x in parts]
+    e = min(int(ex.min()) for _, ex in fr) - 53
+    total = np.zeros(len(parts[0]), dtype=object)
+    for mant, ex in fr:
+        total += np.left_shift(np.ldexp(mant, 53).astype(np.int64).astype(object),
+                               (ex - 53 - e).astype(object))
+    return total, e
+
+
+def _refinement_functional(m: int, c: int, weights: np.ndarray, e_w: int):
+    """2^e_w sum_l weights_l v_l and a certified bound on its absolute error,
+    v_l = Phi_c(l), l = 0..D-1, the samples at integers of the
+    autocorrelation Phi_c of the refinable function with squared symbol
+    M(w) = cos^{2c}(w/2) P(sin^2(w/2)), D = c + m - 1 (Phi_c is even and
+    vanishes outside (-D, D)).  The caller proves Phi_c continuous.
+
+    Phi_c(x) = sum_k 2 M_k Phi_c(2x - k), so v = 2 M v with M the folded
+    decimation of M's coefficients: an eigenvector, made unique by the
+    partition of unity sum_l v_l = 1 (M vanishes at pi), which replaces the
+    last row.  The integer matrix (rows over 4^D) is solved in float64
+    with an approximate inverse R.  Certificate: delta >= ||I - R A||_inf
+    from R A computed in float64 plus rounding margins (gamma_{D+4} |R| |A|,
+    which also covers A's one rounding to float), so ||A^{-1}||_inf <=
+    ||R||_inf / (1 - delta); the residual A v - b is exact in integers, and
+    ||v - v*||_inf <= ||A^{-1}||_inf ||A v - b||_inf.  Each refinement step
+    adds the correction -R (A v - b) as one more float component of v, so v
+    carries more than 53 bits."""
+    coef = _daub._symbol_coefficients(m, c)
+    d = (len(coef) - 1) // 2
+    weights = weights[:d]  # a weight at D or beyond meets Phi_c(+-D) = 0
+    a = -2 * _folded_decimation(coef, d)
+    a[np.arange(d), np.arange(d)] += 1 << (2 * d)
+    a[-1] = [1] + [2] * (d - 1)
+    af = a.astype(float)
+    af[:-1] = np.ldexp(af[:-1], -2 * d)
+    rhs = np.zeros(d)
+    rhs[-1] = 1.0
+    inv = np.linalg.inv(af)
+    g = (d + 4) * _U / (1.0 - (d + 4) * _U)
+    delta = (_inf_norm(inv @ af - np.eye(d)) + g * (_inf_norm(np.abs(inv) @ np.abs(af)) + 1.0)) * (1.0 + g)
+    if not delta < 1.0:
+        raise RuntimeError(f"could not bound the inverse of the refinement system (m={m}, c={c})")
+    inv_bound = _inf_norm(inv) * (1.0 + g) / (1.0 - delta)
+    w_l1 = float(sum(abs(x) for x in weights)) * (1.0 + _U)
+    parts = [inv @ rhs]
+    for step in range(_REFINE_STEPS + 1):
+        v, e = _common_integers(parts)
+        av = a.dot(v)
+        last = (av[-1] << e) - 1 if e >= 0 else av[-1] - (1 << -e)
+        res = np.array([_dyadic(int(x), e - 2 * d) for x in av[:-1]] + [_dyadic(int(last), min(e, 0))])
+        err = _inf_norm(res) * (1.0 + 2.0 * _U) * inv_bound * (1.0 + 2.0 * _U)
+        value = _dyadic(int(np.dot(weights, v[: len(weights)])), e + e_w)
+        bound = math.ldexp(w_l1 * err, e_w) * (1.0 + 4.0 * _U)
+        if step == _REFINE_STEPS or bound <= 2.0 ** -64 * abs(value):
+            return value, bound
+        parts.append(-(inv @ res))
+
+
+def _daub_l2_squared(part: str, m: int, alpha: int):
+    """(|| |w|^alpha fhat ||_2^2, bound on its absolute error) for the
+    orthonormal family of order m, from _refinement_functional with
+    c = m - alpha.
+
+    |phihat(u)|^2 = (2 pi)^{-1} sinc^{2m}(u/2) prod_j P(sin^2(u/2^{j+1})), so
+    u^{2 alpha} |phihat(u)|^2 = (2 sin(u/2))^{2 alpha} |phihat_c(u)|^2 for the
+    refinable phi_c, and || w^alpha phihat ||_2^2 = sum_j b_j Phi_c(j) with b
+    the coefficients of (2 sin(u/2))^{2 alpha}.  For the wavelet,
+    |psihat(2u)|^2 = sin^{2m}(u/2) P(cos^2(u/2)) |phihat(u)|^2 gives
+    2^{4 alpha + 1} sum_j b_j Phi_c(j) with b the coefficients of
+    sin^{2(m + alpha)}(u/2) P(cos^2(u/2)).  Only samples of Phi_c are
+    needed, never of its derivatives, which keeps the system well
+    conditioned (its inf-norm condition stays below 1e6 for every
+    admissible query).  A positive weight needs finiteness proved first; an
+    unproved one is refused with ValueError."""
+    if alpha >= 1 and not _daub_weight_is_finite(m, alpha):
+        raise ValueError(
+            f"cannot certify a finite norm for family=daubechies part={part} m={m} "
+            f"alpha={alpha} p=2: the transfer-operator bound does not decay for this weight"
+        )
+    if part == "phi":
+        b = np.array([(-1) ** j * math.comb(2 * alpha, alpha + j) for j in range(alpha + 1)], dtype=object)
+        e_w = 0
+    else:
+        b = _daub._symbol_coefficients(m, m + alpha, high=True)
+        h = (len(b) - 1) // 2
+        b, e_w = b[h:], 4 * alpha + 1 - 2 * h
+    weights = 2 * b
+    weights[0] = b[0]
+    return _refinement_functional(m, m - alpha, weights, e_w)
+
+
+def _exact_norm(q: WeightedNormQuery) -> NormResult:
+    """The p = 2, integer-alpha route of weighted_lp_norm: no quadrature,
+    no tail.  rel bounds |sq / exact - 1| for the squared norm sq (its one
+    rounding for the spline family); the square root turns that into at
+    most rel / (1 + sqrt(1 - rel)) and adds its own rounding."""
+    alpha = int(q.alpha)
+    if q.family == "spline":
+        sq, rel = _spline_l2_squared(q.part, q.m, alpha), _U
+    else:
+        sq, bound = _daub_l2_squared(q.part, q.m, alpha)
+        err = bound + 2.0 * _U * abs(sq)  # and the value's one rounding
+        rel = err / (sq - err) if sq > err else math.inf
+    cre = (rel / (1.0 + math.sqrt(1.0 - rel)) + _U) * (1.0 + 4.0 * _U) if rel < 1.0 else math.inf
+    if not cre <= q.tol:
+        raise RuntimeError(f"could not certify the norm to tol={q.tol} (achieved {cre:.2e})")
+    return NormResult(q, math.sqrt(sq), cre, math.pi, 0.0, 0)
+
+
+# ---------------------------------------------------------------------------
 # the norm itself
 # ---------------------------------------------------------------------------
 
@@ -543,12 +782,25 @@ def weighted_lp_norm(
     orthonormal scaling function (part="phi") or wavelet (part="psi") of
     order m.
 
-    The result's certified_rel_error accounts for quadrature discrepancy,
-    the rigorously bounded tail beyond the cutoff, and (for the
-    orthonormal family) the truncation certificate of the infinite
-    symbol product.  It is kept below tol or the call raises.
+    A query with p = 2 and an integer alpha takes the exact route
+    (_exact_norm: integer Gram sums for splines, a certified refinement
+    solve for the orthonormal family); every other query runs the
+    quadrature (_quadrature_norm).  Either way certified_rel_error is kept
+    below tol or the call raises RuntimeError.
     """
     q = WeightedNormQuery(family, part, m, float(alpha), float(p), tol)
+    if q.p == 2.0 and q.alpha.is_integer():
+        return _exact_norm(q)
+    return _quadrature_norm(q)
+
+
+def _quadrature_norm(q: WeightedNormQuery) -> NormResult:
+    """The quadrature route of weighted_lp_norm, callable on any query.
+
+    Its certified_rel_error accounts for quadrature discrepancy, the
+    rigorously bounded tail beyond the cutoff, and (for the orthonormal
+    family) the truncation certificate of the infinite symbol product."""
+    family, part, m, alpha, p, tol = q.family, q.part, q.m, q.alpha, q.p, q.tol
     mag_tol = tol / 8.0
     f, g, c0 = _make_integrand(q, mag_tol)
     if q.family == "daubechies":
@@ -591,13 +843,21 @@ def weighted_lp_norm(
 # ---------------------------------------------------------------------------
 
 
+def _weight_exponent(sign: int, k: int) -> float:
+    """sign * k as a float, for an integer weight index k.  No supported
+    order admits |k| > SPLINE_ORDER_LIMIT (a finite norm needs |alpha| <= m),
+    so such k is refused before float(k), which overflows for huge k."""
+    if abs(k) > SPLINE_ORDER_LIMIT:
+        raise ValueError(f"weight index k exceeds {SPLINE_ORDER_LIMIT}: no supported order admits it")
+    return sign * float(k)
+
+
 def _ckp_query(family: str, part: str, m: int, k: int, p: float, tol: float) -> WeightedNormQuery:
     """The weighted query of ckp(family, part, m, k, p, tol); building it
-    refuses whatever that call refuses, before any quadrature."""
+    refuses whatever that call refuses, before any norm is computed."""
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError("k must be a nonnegative integer")
-    alpha = -float(k) if part == "psi" else float(k)
-    return WeightedNormQuery(family, part, m, alpha, float(p), tol)
+    return WeightedNormQuery(family, part, m, _weight_exponent(-1 if part == "psi" else 1, k), float(p), tol)
 
 
 def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> CkpResult:
@@ -609,7 +869,7 @@ def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> 
     ratio tends to 0 (at p = 2 like sqrt(6/m) for k = 1), while
     splinePhiK predicts (2 xi1)^{-k}.  k = 0 gives exactly 1.
     """
-    alpha = _ckp_query(family, part, m, k, p, tol).alpha  # refuse before any quadrature
+    alpha = _ckp_query(family, part, m, k, p, tol).alpha  # refuse before any norm
     den = weighted_lp_norm(family, part, m, 0.0, p, tol)
     if k == 0:
         return CkpResult(family, part, m, 0, p, den.value, den.value, 1.0,
@@ -937,15 +1197,15 @@ def asymptotic_sweep(
     the measured sequence (of measured / predicted for norm targets).
 
     The grid needs at least two distinct orders, and the queries of every
-    order are checked before the first quadrature.
+    order are checked before the first norm is computed.
     """
     index = (lambda m: m) if target in _DIAGONAL_SWEEPS else (lambda m: k)  # weight index k at order m
     if target in _NORM_SWEEPS:
         family, part, sign = _NORM_SWEEPS[target]
         grid_key = family
         predict = lambda m: predict_norm_leading(target, m=m, k=index(m), p=p)
-        check = lambda m: WeightedNormQuery(family, part, m, sign * float(index(m)), float(p), tol)
-        measure = lambda m: weighted_lp_norm(family, part, m, sign * float(index(m)), p, tol).value
+        check = lambda m: WeightedNormQuery(family, part, m, _weight_exponent(sign, index(m)), float(p), tol)
+        measure = lambda m: weighted_lp_norm(family, part, m, _weight_exponent(sign, index(m)), p, tol).value
     elif target in _LIMIT_SWEEPS:
         family, part = _LIMIT_SWEEPS[target]
         grid_key = family

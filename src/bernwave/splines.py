@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -73,6 +73,17 @@ def _integer_value_row(m: int):
             cur.append((left + right) / (order - 1))
         prev = cur
     return tuple(prev)
+
+
+@lru_cache(maxsize=None)
+def _eulerian_row(n: int) -> Tuple[int, ...]:
+    """(n-1)! N_n(j) for j = 1..n-1 (n >= 2): the Eulerian numbers A(n-1, j-1),
+    integers from A(k, i) = (i + 1) A(k-1, i) + (k - i) A(k-1, i-1)."""
+    row = [1]
+    for k in range(2, n):
+        row = [(i + 1) * (row[i] if i < k - 1 else 0) + (k - i) * (row[i - 1] if i else 0)
+               for i in range(k)]
+    return tuple(row)
 
 
 def bspline_integer_values(m: int) -> List[Fraction]:

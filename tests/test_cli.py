@@ -302,6 +302,8 @@ def _one_line_refusal(capsys, argv, code):
      "--limit-only", "--tol", "nan"],
     ["sweep", "--target", "fixedKRatio", "--m-grid", "10,12", "--k", "0"],
     ["sweep", "--target", "splinePsiK", "--m-grid", "5,10,10"],
+    ["ckp", "--family", "spline", "--m", "3", "--k", "1" + "0" * 400],
+    ["sweep", "--target", "splinePsiK", "--m-grid", "5,10", "--k", "1" + "0" * 400],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     err = _one_line_refusal(capsys, argv, 2)
@@ -453,6 +455,30 @@ def test_ckp_cli_refuses_bad_input_with_one_line(argv):
     assert out == ""
     assert err.startswith("bernwave ckp: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# at p = 2 every integer weight takes the exact route: no quadrature, a few
+# milliseconds per norm, so the engine itself can run on every draw
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    family=_FAMILY,
+    part=_PART,
+    m=st.integers(1, 41),
+    k=_mostly(st.integers(0, 12), st.integers(-3, 10**400)),
+    tol=_mostly(st.sampled_from([1e-6, 1e-8, 1e-12]), st.one_of(st.just(1e-17), _WILD_TOL)),
+)
+@example(family="spline", part="psi", m=3, k=10**400, tol=1e-8)
+def test_ckp_cli_at_p2_never_crashes(family, part, m, k, tol):
+    code, out, err = _run_quiet(_ckp_argv(family, part, m, k, 2.0, tol))
+    assert code in (0, 1, 2), (code, err)
+    if code == 0:
+        assert err == ""
+        rows = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert len(rows) == 1 and _finite_numbers(rows[0])
+    else:
+        assert out == ""
+        assert err.startswith("bernwave ckp: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def _finite_numbers(row):

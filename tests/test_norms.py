@@ -437,10 +437,32 @@ def test_daub_mean_table_exact_small_orders():
 
 
 def test_norm_result_certificate_fields():
-    r = weighted_lp_norm("spline", "psi", 4, -1.0, 2.0, tol=1e-9)
+    # p = 3 runs the quadrature route, whose fields describe its window
+    r = weighted_lp_norm("spline", "psi", 4, -1.0, 3.0, tol=1e-9)
     assert r.certified_rel_error <= 1e-9
     assert r.cutoff > 0.0 and r.tail_bound >= 0.0 and r.panels >= 1
     assert r.query.m == 4 and r.query.alpha == -1.0
+
+
+def test_exact_route_certificate_fields():
+    # p = 2 with an integer weight: no quadrature window, no tail
+    r = weighted_lp_norm("daubechies", "psi", 8, -1.0, 2.0, tol=1e-12)
+    assert (r.panels, r.tail_bound, r.cutoff) == (0, 0.0, math.pi)
+    assert 0.0 < r.certified_rel_error <= 1e-15
+    with pytest.raises(RuntimeError, match="could not certify"):
+        weighted_lp_norm("spline", "psi", 4, -1.0, 2.0, tol=1e-17)
+
+
+def test_fractional_weight_at_p2_runs_quadrature():
+    r = weighted_lp_norm("spline", "psi", 4, 0.5, 2.0)
+    assert r.panels >= 1 and r.tail_bound > 0.0
+
+
+def test_d4_weight_one_is_refused_at_p2():
+    # the order-2 scaling function has L_2 Sobolev exponent exactly 1
+    for part in ("phi", "psi"):
+        with pytest.raises(ValueError):
+            weighted_lp_norm("daubechies", part, 2, 1.0, 2.0)
 
 
 def test_over_budget_norm_refuses_before_quadrature():
