@@ -22,10 +22,12 @@ a rigorous bound on the tail beyond Omega is added.  The coefficient
 bound's real-line integrals run on the same engine in a doubling window,
 with an absolute floor for the signed ones.  Spline transforms have
 elementary envelopes, so their tails are closed-form.  For the orthonormal
-family the tail comes from a certified symbol-product estimate:
-|phihat(w)|^2 equals (2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j) with
-B >= 1 a fixed trigonometric polynomial, and grid-plus-Bernstein-inflation
-suprema of the partial products give an explicit octave-by-octave envelope.
+family, |phihat(w)|^2 equals (2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j)
+with B >= 1 a fixed trigonometric polynomial, and the tail is one walk over
+the octaves [pi 2^n, pi 2^{n+1}) from the cutoff (_daub_tail_bound): each
+octave's mass is bounded by the exact octave mean of the partial product
+(p = 2, from the transfer matrix) or else by its certified supremum (grid
+plus Bernstein inflation), and a geometric remainder closes the sum.
 
 At p = 2 with an integer alpha no quadrature runs: weighted_lp_norm takes
 an exact route, chosen from the query alone.  A spline's weighted transform
@@ -95,6 +97,11 @@ _EVAL_CHUNK = 1 << 22
 # integrand evaluations one norm may spend; 22 per panel (GL15 + GL7)
 _NODE_BUDGET = 80_000_000
 _BUDGET_MESSAGE = "quadrature node budget exceeded; request a looser tolerance"
+# panel-splitting rounds of one integral before it must have converged
+_MAX_ROUNDS = 24
+# depth of the dyadic stack toward w = 0: eps = (pi/4) 2^-D must stay a normal
+# float, or from D = 1075 on it rounds to 0 and puts a node at w = 0
+_MAX_DEPTH = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +278,7 @@ def _gl_on_panels(f, lo, hi):
     return i15, np.abs(i15 - i7)
 
 
-def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, max_rounds=24, abs_floor=0.0):
+def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, abs_floor=0.0):
     """Integrate f (vectorized, real) over the panels defined by `edges`,
     splitting the panels whose GL15-vs-GL7 discrepancy dominates until the
     summed discrepancy is below rel_tol * |integral| + abs_floor.  The norms
@@ -285,7 +292,7 @@ def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, max_rounds
     if used > node_budget:  # refuse before the first evaluation
         raise RuntimeError(_BUDGET_MESSAGE)
     vals, errs = _gl_on_panels(f, lo, hi)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total = float(vals.sum())
         err = float(errs.sum())
         target = rel_tol * abs(total) + abs_floor
@@ -325,10 +332,10 @@ def _build_edges(omega, small_expo, small_coeff, abs_target):
         raise RuntimeError(_BUDGET_MESSAGE)
     body = w0 * np.arange(1, n + 1)
     g1 = small_expo + 1.0
-    # pick eps = w0 * 2^-D with remaining mass below abs_target
+    # pick eps = w0 * 2^-D with remaining mass below abs_target, D <= _MAX_DEPTH
     head_bound = lambda eps: small_coeff * eps ** g1 / g1
     depth = 1
-    while depth < 6000 and head_bound(w0 * 2.0 ** (-depth)) > abs_target:
+    while depth < _MAX_DEPTH and head_bound(w0 * 2.0 ** (-depth)) > abs_target:
         depth += 1
     head = w0 * 2.0 ** (-np.arange(depth, 0, -1, dtype=float))
     return np.concatenate([head, body]), head_bound(w0 * 2.0 ** (-depth))
@@ -375,20 +382,23 @@ def _spline_tail(part, m, alpha, p, omega):
     return est, unc
 
 
+# the orthonormal tail: octaves per block of the sup-product table, log2 of its
+# grid, and the octaves n < _MEAN_OCTAVES whose exact mean _daub_mean_table holds
+_TAIL_BLOCK, _TAIL_GRID_POW, _MEAN_OCTAVES = 12, 22, 70
+
+
 @dataclass(frozen=True)
 class _DaubTailCertificate:
-    m: int
-    block: int            # R: octaves per block in the sup-product table
-    log2_t: tuple         # log2 of certified sup of prod_{i<r} B(2^i nu), r=0..R
+    log2_t: tuple         # log2 of certified sup of prod_{i<r} B(2^i nu), r=0.._TAIL_BLOCK
     bmax: float           # sup B = P(1)
     log_e: float          # log of the small-argument product bound E_m
     sigma: float          # certified decay: |phihat(w)|^2 <= C * w^-sigma
 
 
 @lru_cache(maxsize=None)
-def _daub_tail_certificate(m: int, block: int = 12, grid_pow: int = 22) -> _DaubTailCertificate:
+def _daub_tail_certificate(m: int) -> _DaubTailCertificate:
     pc = np.asarray(_daub._p_coeffs(m))
-    n = 1 << grid_pow
+    n = 1 << _TAIL_GRID_POW
     delta = 2.0 * math.pi / n
     nu = delta * np.arange(n)
     y = np.square(np.sin(0.5 * nu))
@@ -399,7 +409,7 @@ def _daub_tail_certificate(m: int, block: int = 12, grid_pow: int = 22) -> _Daub
     idx = np.arange(n, dtype=np.int64)
     cum = b.copy()
     log2_t = [0.0]
-    for r in range(1, block + 1):
+    for r in range(1, _TAIL_BLOCK + 1):
         if r > 1:
             cum = cum * b[(idx * (1 << (r - 1))) & (n - 1)]
         deg = (m - 1) * ((1 << r) - 1)
@@ -414,8 +424,8 @@ def _daub_tail_certificate(m: int, block: int = 12, grid_pow: int = 22) -> _Daub
         yi = math.sin(math.pi / 2 ** (i + 1)) ** 2
         log_e += math.log(float(np.polyval(pc[::-1], yi)))
     log_e += (bmax - 1.0) * (math.pi ** 2 / 4.0) * 4.0 ** (-61) * (4.0 / 3.0)
-    sigma = 2.0 * m - log2_t[block] / block
-    return _DaubTailCertificate(m, block, tuple(log2_t), bmax, log_e, sigma)
+    sigma = 2.0 * m - log2_t[_TAIL_BLOCK] / _TAIL_BLOCK
+    return _DaubTailCertificate(tuple(log2_t), bmax, log_e, sigma)
 
 
 def _folded_decimation(h: np.ndarray, size: int) -> np.ndarray:
@@ -446,18 +456,18 @@ def _daub_transfer(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _daub_mean_table(m: int, n_max: int = 70):
-    """log of Q_n = mean over [0, 2 pi) of prod_{i<n} B(2^i theta), n <= n_max,
-    from powers of the m-dimensional transfer map _daub_transfer(m) applied
-    to the constant 1.  Means decay a full Sobolev order faster than the sup
-    table, which is what makes slowly decaying weighted L_2 tails
-    computable."""
+def _daub_mean_table(m: int):
+    """log of Q_n = mean over [0, 2 pi) of prod_{i<n} B(2^i theta),
+    n <= _MEAN_OCTAVES, from powers of the m-dimensional transfer map
+    _daub_transfer(m) applied to the constant 1.  Means decay a full Sobolev
+    order faster than the sup table, which is what makes slowly decaying
+    weighted L_2 tails computable."""
     t = _daub_transfer(m)
     c = np.zeros(m)
     c[0] = 1.0  # folded coefficients of T^n 1, renormalised to mean 1
     log_q = [0.0]
     acc = 0.0
-    for _ in range(n_max):
+    for _ in range(_MEAN_OCTAVES):
         c = t @ c
         mid = c[0]
         if not mid > 0.0:
@@ -468,22 +478,59 @@ def _daub_mean_table(m: int, n_max: int = 70):
     return tuple(log_q)
 
 
-def _daub_tail_sup_route(cert: _DaubTailCertificate, alpha, p, om):
-    """Upper bound on int_om^inf u^{alpha p} |phihat(u)|^p du from the
-    sup-product table alone: valid for every p, decay 2^{alpha p + 1 - p sigma / 2}
-    per octave."""
-    m, r_blk = cert.m, cert.block
-    log2_rho = r_blk * (alpha * p - m * p + 1.0) + 0.5 * p * cert.log2_t[r_blk]
+def _daub_tail_bound(part, m, alpha, p, omega):
+    """Certified bound on int_Omega^inf w^{alpha p}|fhat(w)|^p dw for the
+    orthonormal family: one walk over the octaves [pi 2^n, pi 2^{n+1}) from
+    the cutoff.  The wavelet case reduces to the scaling case through
+    |psihat(w)| <= |phihat(w/2)|.
+
+    With w = 2^n theta, prod_{j>=1} B(w/2^j) splits exactly into
+    Pi_n(theta) = prod_{i<n} B(2^i theta) times prod_{l>=1} B(theta/2^l) <=
+    B(pi) E_m (B increases on [0, pi]).  An octave's mass is bounded
+      - at p = 2 while n < _MEAN_OCTAVES, through the exact mean Q_n of Pi_n
+        and sin^{2m} <= 1: 2^{2m} w_lo^{2(alpha-m)} 2^n Q_n B_max E_m (2 pi,
+        the mean's period, cancels the (2 pi)^{-1} of |phihat|^2);
+      - else through the certified sup of Pi_{n+1} (split at w/2^{n+1} <= pi,
+        so the rest is at most E_m) from the block table, against the exact
+        integral of w^{(alpha-m) p} over the octave.
+    Three blocks of sup octaves follow; each later block is at most rho
+    times the one before, so the last one times rho / (1 - rho) bounds the
+    rest."""
+    if part == "psi":
+        # |psihat(u)| <= |phihat(u/2)|; substitute u = 2v in the tail integral
+        return 2.0 ** (alpha * p + 1.0) * _daub_tail_bound("phi", m, alpha, p, omega / 2.0)
+    cert = _daub_tail_certificate(m)
+    r_blk, log2_t = _TAIL_BLOCK, cert.log2_t
+    # gate: the geometric ratio of the sup blocks must be < 1, or even the far
+    # remainder cannot be summed (for p = 2 that also rejects weights at
+    # or beyond the true decay, e.g. m = 2 with alpha = 1)
+    log2_rho = r_blk * (alpha * p - m * p + 1.0) + 0.5 * p * log2_t[r_blk]
+    if log2_rho > -0.01:
+        raise ValueError(
+            f"cannot certify tail decay for family=daubechies part={part} m={m} "
+            f"alpha={alpha} p={p}: certified decay exponent {cert.sigma:.3f} is "
+            f"too small for this weight"
+        )
+    rho = 2.0 ** log2_rho
+    log_q = _daub_mean_table(m) if p == 2.0 else ()
     beta = (alpha - m) * p
     ln2 = math.log(2.0)
-    l0 = math.floor(math.log2(om / math.pi) + 1e-12)
-    pieces = []
-    for jj in range(3 * r_blk):
+    l0 = math.floor(math.log2(omega / math.pi) + 1e-12)
+    n_mean = max(0, len(log_q) - 1 - l0)
+    # three sums: the last sup block's mass also feeds the remainder, and the
+    # mean octaves' sum is added last, to the sup octaves' and the remainder
+    mean_mass = sup_mass = last_block = 0.0
+    for jj in range(n_mean + 3 * r_blk):
         lj = l0 + jj
-        w_lo = max(om, math.pi * 2.0 ** lj) if jj == 0 else math.pi * 2.0 ** lj
+        w_lo = max(omega, math.pi * 2.0 ** lj) if jj == 0 else math.pi * 2.0 ** lj
+        if jj < n_mean:
+            lp = (2.0 * m + lj) * ln2 + beta * math.log(w_lo) + log_q[lj] \
+                + math.log(cert.bmax) + cert.log_e
+            mean_mass += math.exp(lp) if lp < 700.0 else math.inf
+            continue
         w_hi = math.pi * 2.0 ** (lj + 1)
         nn = lj + 1
-        log_pb = (nn // r_blk) * cert.log2_t[r_blk] * ln2 + cert.log2_t[nn % r_blk] * ln2 + cert.log_e
+        log_pb = (nn // r_blk) * log2_t[r_blk] * ln2 + log2_t[nn % r_blk] * ln2 + cert.log_e
         if beta + 1.0 > 0.0:
             log_int = math.log((w_hi ** (beta + 1.0) - w_lo ** (beta + 1.0)) / (beta + 1.0))
         elif beta + 1.0 < 0.0:
@@ -493,64 +540,11 @@ def _daub_tail_sup_route(cert: _DaubTailCertificate, alpha, p, om):
         else:
             log_int = math.log(math.log(w_hi / w_lo))
         lp = -0.5 * p * _LN_2PI + m * p * ln2 + 0.5 * p * log_pb + log_int
-        pieces.append(math.exp(lp) if lp < 700.0 else math.inf)
-    rho = 2.0 ** log2_rho
-    remainder = sum(pieces[2 * r_blk :]) * rho / (1.0 - rho)
-    return sum(pieces) + remainder
-
-
-def _daub_tail_mean_route(cert: _DaubTailCertificate, alpha, om):
-    """Upper bound on int_om^inf u^{2 alpha} |phihat(u)|^2 du through the
-    exact octave means of the B-product (p = 2 only).
-
-    On the octave [pi 2^n, pi 2^{n+1}) write w = 2^n theta: the product
-    prod_{j>=1} B(w/2^j) splits exactly into Pi_n(theta) * prod_{l>=1}
-    B(theta/2^l), and since B increases on [0, pi] the second factor is
-    at most B(pi) E_m.  With sin^{2m} <= 1 the octave mass is bounded by
-    2^{2m} w_lo^{2(alpha-m)} 2^n Q_n B_max E_m (2 pi the mean's period
-    cancels the (2 pi)^{-1} of |phihat|^2).  The far remainder falls
-    back to the sup route, astronomically small by then."""
-    m = cert.m
-    log_q = _daub_mean_table(m)
-    beta = 2.0 * (alpha - m)
-    ln2 = math.log(2.0)
-    l0 = math.floor(math.log2(om / math.pi) + 1e-12)
-    n_mean = len(log_q) - 1 - l0
-    if n_mean < 1:
-        return _daub_tail_sup_route(cert, alpha, 2.0, om)
-    total = 0.0
-    for jj in range(n_mean):
-        lj = l0 + jj
-        w_lo = max(om, math.pi * 2.0 ** lj) if jj == 0 else math.pi * 2.0 ** lj
-        lp = (2.0 * m + lj) * ln2 + beta * math.log(w_lo) + log_q[lj] \
-            + math.log(cert.bmax) + cert.log_e
-        total += math.exp(lp) if lp < 700.0 else math.inf
-    total += _daub_tail_sup_route(cert, alpha, 2.0, math.pi * 2.0 ** (l0 + n_mean))
-    return total
-
-
-def _daub_tail_bound(part, m, alpha, p, omega):
-    """Certified bound on int_Omega^inf w^{alpha p}|fhat(w)|^p dw for
-    the orthonormal family.  The wavelet case reduces to the scaling case
-    through |psihat(w)| <= |phihat(w/2)|."""
-    if part == "psi":
-        # |psihat(u)| <= |phihat(u/2)|; substitute u = 2v in the tail integral
-        return 2.0 ** (alpha * p + 1.0) * _daub_tail_bound("phi", m, alpha, p, omega / 2.0)
-    cert = _daub_tail_certificate(m)
-    # gate: the sup-route geometric ratio must be < 1, or even the far
-    # remainder cannot be summed (for p = 2 that also rejects weights at
-    # or beyond the true decay, e.g. m = 2 with alpha = 1)
-    r_blk = cert.block
-    log2_rho = r_blk * (alpha * p - m * p + 1.0) + 0.5 * p * cert.log2_t[r_blk]
-    if log2_rho > -0.01:
-        raise ValueError(
-            f"cannot certify tail decay for family=daubechies part={part} m={m} "
-            f"alpha={alpha} p={p}: certified decay exponent {cert.sigma:.3f} is "
-            f"too small for this weight"
-        )
-    if p == 2.0:
-        return _daub_tail_mean_route(cert, alpha, omega)
-    return _daub_tail_sup_route(cert, alpha, p, omega)
+        piece = math.exp(lp) if lp < 700.0 else math.inf
+        sup_mass += piece
+        if jj >= n_mean + 2 * r_blk:
+            last_block += piece
+    return mean_mass + (sup_mass + last_block * rho / (1.0 - rho))
 
 
 def _tail(q: WeightedNormQuery, omega):
@@ -632,7 +626,7 @@ def _daub_weight_is_finite(m: int, alpha: int) -> bool:
 
     On the octave [pi 2^n, pi 2^{n+1}) the squared weighted transform has
     mass at most a constant times 2^{n(2 alpha - 2m + 1)} Q_n, Q_n the mean of
-    prod_{i<n} B(2^i theta) (see _daub_tail_mean_route), and Q_n is at most
+    prod_{i<n} B(2^i theta) (see _daub_tail_bound), and Q_n is at most
     ||T^n||_inf for the transfer matrix T of _daub_transfer.  So the norm is
     finite when ||(T / tau)^N||_inf < 1 for some N, tau = 2^{2m-1-2 alpha}
     (Villemoes 1994).  N runs through 1, 2, 4, ... by squaring in float64;

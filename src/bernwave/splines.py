@@ -62,20 +62,6 @@ def bspline_value(m: int, x):
 
 
 @lru_cache(maxsize=None)
-def _integer_value_row(m: int):
-    # exact values N_m(j), j = 0..m, by the same recurrence over the rationals
-    prev = [Fraction(1 if j == 0 else 0) for j in range(m + 1)]
-    for order in range(2, m + 1):
-        cur = []
-        for j in range(m + 1):
-            left = Fraction(j) * prev[j]
-            right = (Fraction(order) - Fraction(j)) * (prev[j - 1] if j >= 1 else Fraction(0))
-            cur.append((left + right) / (order - 1))
-        prev = cur
-    return tuple(prev)
-
-
-@lru_cache(maxsize=None)
 def _eulerian_row(n: int) -> Tuple[int, ...]:
     """(n-1)! N_n(j) for j = 1..n-1 (n >= 2): the Eulerian numbers A(n-1, j-1),
     integers from A(k, i) = (i + 1) A(k-1, i) + (k - i) A(k-1, i-1)."""
@@ -91,8 +77,8 @@ def bspline_integer_values(m: int) -> List[Fraction]:
     _check_order(m)
     if m == 1:
         return []
-    row = _integer_value_row(m)
-    return [row[j] for j in range(1, m)]
+    fact = math.factorial(m - 1)
+    return [Fraction(e, fact) for e in _eulerian_row(m)]
 
 
 def euler_frobenius(m: int) -> List[int]:
@@ -102,15 +88,7 @@ def euler_frobenius(m: int) -> List[int]:
     Its roots are simple, real, negative, and come in reciprocal pairs.
     """
     _check_order(m)
-    vals = bspline_integer_values(2 * m)
-    fact = math.factorial(2 * m - 1)
-    out = []
-    for v in vals:
-        c = v * fact
-        if c.denominator != 1:
-            raise AssertionError("Euler-Frobenius coefficient not integral")
-        out.append(int(c))
-    return out
+    return list(_eulerian_row(2 * m))
 
 
 def spline_wavelet(m: int) -> List[Fraction]:
@@ -121,9 +99,8 @@ def spline_wavelet(m: int) -> List[Fraction]:
     works with its Fourier transform, which these coefficients determine.
     """
     _check_order(m)
-    scale = Fraction(2) ** (1 - m)
-    vals = bspline_integer_values(2 * m)
-    return [(-1) ** v * scale * vals[v] for v in range(2 * m - 1)]
+    den = math.factorial(2 * m - 1) << (m - 1)
+    return [Fraction((-1) ** v * e, den) for v, e in enumerate(_eulerian_row(2 * m))]
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,30 @@ def test_ckp_cli_at_p2_never_crashes(family, part, m, k, tol):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# off p = 2 every norm runs the quadrature with its certified tail; loose
+# tolerances keep a draw to seconds, and a refusal must still be one line
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    family=_FAMILY,
+    part=_PART,
+    m=st.integers(1, 12),
+    k=st.integers(0, 2),
+    p=st.floats(1.2, 4.0).filter(lambda p: p != 2.0),
+    tol=st.floats(1e-4, 1e-3),
+)
+def test_ckp_cli_off_p2_never_crashes(family, part, m, k, p, tol):
+    code, out, err = _run_quiet(_ckp_argv(family, part, m, k, p, tol))
+    assert code in (0, 1, 2), (code, err)
+    if code == 0:
+        assert err == ""
+        rows = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert len(rows) == 1 and _finite_numbers(rows[0]) and math.isfinite(rows[0]["ratio"])
+    else:
+        assert out == ""
+        assert err.startswith("bernwave ckp: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def _finite_numbers(row):
     return all(math.isfinite(v) for v in row.values() if isinstance(v, float))
 

@@ -415,11 +415,11 @@ def test_sweep_unknown_target():
 
 
 def test_daub_tail_certificate_sigma():
-    from bernwave.norms import _daub_tail_certificate
+    from bernwave.norms import _TAIL_BLOCK, _daub_tail_certificate
 
     cert = _daub_tail_certificate(4)
     assert cert.sigma == pytest.approx(3.797214049034376, abs=2e-3)
-    assert cert.block == 12 and len(cert.log2_t) == 13
+    assert _TAIL_BLOCK == 12 and len(cert.log2_t) == 13
     assert cert.log2_t[0] == 0.0
 
 
@@ -434,6 +434,57 @@ def test_daub_mean_table_exact_small_orders():
     assert math.exp(lq[2]) == pytest.approx(128.0625, rel=1e-12)
     assert math.exp(lq[3]) == pytest.approx(1476.6875, rel=1e-12)
     assert math.exp(lq[5]) == pytest.approx(173716.90625, rel=1e-12)
+
+
+# _daub_tail_bound(part, m, alpha, p, pi 2^l), recorded when the exact-mean and
+# sup-product octaves had their own loops; p = 2 walks 70 - l mean octaves
+# before the sup ones (none from pi 2^71 on), and every other p only sup ones
+DAUB_TAIL_FROZEN = {
+    ("phi", 4, 1.0, 2.0, 10): 0.006175791146340388,
+    ("psi", 4, -1.0, 2.0, 10): 9.104615637439152e-16,
+    ("phi", 8, 0.5, 2.0, 6): 2.636132554596084e-05,
+    ("psi", 12, -3.0, 2.0, 20): 7.811785347383605e-78,
+    ("phi", 3, 0.0, 2.0, 71): 2.8170691073690584e-49,
+    ("phi", 6, 1.0, 1.5, 13): 0.0016662074416498918,
+    ("psi", 6, -1.0, 1.5, 8): 6.615978943938683e-10,
+    ("phi", 4, 0.5, 3.0, 9): 8.278747278888835e-09,
+    ("psi", 10, 2.0, 3.0, 16): 1.0057581281093198e-05,
+}
+
+
+@pytest.mark.parametrize("key", sorted(DAUB_TAIL_FROZEN))
+def test_daub_tail_bound_frozen(key):
+    from bernwave.norms import _daub_tail_bound
+
+    part, m, alpha, p, lpow = key
+    got = _daub_tail_bound(part, m, alpha, p, math.pi * 2.0 ** lpow)
+    assert got == pytest.approx(DAUB_TAIL_FROZEN[key], rel=1e-14)
+
+
+def test_daub_tail_bound_refuses_weight_at_the_decay():
+    from bernwave.norms import _daub_tail_bound
+
+    with pytest.raises(ValueError, match="cannot certify tail decay .* m=2 alpha=1.0 p=2.0"):
+        _daub_tail_bound("phi", 2, 1.0, 2.0, math.pi * 2.0 ** 10)
+
+
+def test_negative_weight_certifies_without_underflow():
+    # (z + alpha) p = -0.8: the bootstrap's dyadic stack used to run past
+    # 2^-1074, put a node at w = 0 and fail with "bootstrap integral failed"
+    import mpmath
+
+    r = weighted_lp_norm("spline", "phi", 3, -0.4, 2.0)
+    # ||w^a Nhat_3||_2^2 = 2^{2a+1}/pi int_0^inf x^{2a-6} sin^6 x dx, and with
+    # sin^6 = (10 - 15 cos 2x + 6 cos 4x - cos 6x)/32 the integral is the
+    # Mellin transform Gamma(s) cos(pi s/2) sum_j c_j j^{-s}, s = 2a - 5
+    with mpmath.workdps(40):
+        a = mpmath.mpf(-0.4)
+        s = 2 * a - 5
+        mellin = mpmath.gamma(s) * mpmath.cos(mpmath.pi * s / 2) * (-15 * 2 ** -s + 6 * 4 ** -s - 6 ** -s) / 32
+        exact = float(mpmath.sqrt(2 ** (2 * a + 1) / mpmath.pi * mellin))  # 1.3163392672691859
+    assert abs(r.value - exact) <= r.certified_rel_error * exact
+    d = weighted_lp_norm("daubechies", "phi", 4, -0.4, 2.0, 1e-6)
+    assert d.certified_rel_error <= 1e-6 and d.panels >= 1
 
 
 def test_norm_result_certificate_fields():
