@@ -20,13 +20,12 @@ import numpy as np
 from . import daubechies as _daub
 from . import splines as _spl
 from .constants import (
+    _named_values,
     favard,
     favard_table,
     predict_limit,
     predict_norm_leading,
-    predict_rate,
     spline_bernstein_constant,
-    spline_constants,
     spline_wavelet_lower_bound,
 )
 from .norms import (
@@ -63,12 +62,7 @@ class CriterionResult:
 
 
 def _c1_printed_constants() -> Tuple[bool, str]:
-    computed = {
-        **spline_constants().as_dict(),
-        "fixed_k_ratio": predict_rate("fixedKRatio"),
-        "geom_ratio": predict_rate("geomRatio"),
-        "phi_psi_mix": predict_limit("phiPsiRatioSpline"),
-    }
+    computed = _named_values()
     table = [
         # (label, printed value, printed decimals)
         ("xi1", 1.1655, 4),

@@ -33,7 +33,7 @@ from . import __version__
 from . import daubechies as _daub
 from . import splines as _spl
 from .acceptance import CRITERION_NAMES, run_all
-from .constants import favard, predict_limit, predict_rate, spline_bernstein_constant, spline_constants
+from .constants import _SWEEP_TARGETS, _named_values, favard, spline_bernstein_constant
 from .norms import (
     SPLINE_ORDER_LIMIT,
     asymptotic_sweep,
@@ -101,17 +101,7 @@ def _cmd_constants(args) -> int:
         raise ValueError(f"--j-max must be in [0, {FAVARD_J_LIMIT}], got {args.j_max}")
     rows = []
     if args.set in ("spline", "all"):
-        sc = spline_constants()
-        derived = {
-            "fixed_k_ratio": predict_rate("fixedKRatio"),
-            "spline_geom_rate": predict_rate("splineGeom"),
-            "geom_ratio": predict_rate("geomRatio"),
-            "phi_psi_mix": predict_limit("phiPsiRatioSpline"),
-            "spline_phi_limit_k1": predict_limit("splinePhiK", k=1),
-            "spline_psi_limit_k1": predict_limit("splinePsiK", k=1),
-        }
-        for name, value in {**sc.as_dict(), **derived}.items():
-            rows.append({"name": name, "value": value})
+        rows += [{"name": name, "value": value} for name, value in _named_values().items()]
     if args.set in ("favard", "all"):
         for j in range(args.j_max + 1):
             rows.append({"name": f"K_{j}", "value": favard(j)})
@@ -344,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", parents=[common],
                         help="measure a constant across orders against its prediction")
-    ps.add_argument("--target", required=True)
+    ps.add_argument("--target", required=True, help="one of " + ", ".join(_SWEEP_TARGETS))
     ps.add_argument("--m-grid", type=_int_list, default=None,
                     help="comma-separated orders (default: the target's standard grid)")
     ps.add_argument("--m-min", type=int, default=None,

@@ -1,7 +1,8 @@
 """Closed-form constants: the Favard sequence, stationary-point constants of
-the two spline profiles, sharp-inequality constants, and the predicted
-limits / geometric rates / leading-order norm formulas that the measurement
-side of the package is compared against.
+the two spline profiles, sharp-inequality constants, and the one table of
+named targets.  Each target has its predicted limit, geometric rate or
+leading-order norm, which the measurement side of the package is compared
+against, and says what its sweep measures.
 
 Nothing in this module integrates anything: every value is a root of an
 explicit equation or an explicit expression in such roots, so the whole
@@ -13,12 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import zeta as _zeta
-
-from .numerics import find_root_bracketed
 
 __all__ = [
     "favard",
@@ -106,9 +105,19 @@ class SplineProfileConstants:
         }
 
 
+def _root(f, a: float, b: float) -> float:
+    """The root of f on the sign-changing bracket [a, b], to brentq's finest
+    relative tolerance."""
+    # imported here: scipy.optimize takes about 0.2 s to import, and only
+    # these two roots, computed once per process, need it
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
 @lru_cache(maxsize=1)
 def spline_constants() -> SplineProfileConstants:
-    xi1 = find_root_bracketed(lambda x: 2.0 / math.tan(x) - 1.0 / x, 0.5, 1.5)
+    xi1 = _root(lambda x: 2.0 / math.tan(x) - 1.0 / x, 0.5, 1.5)
     lam1 = math.sin(xi1) ** 2 / xi1
     Lam1 = 1.0 / math.sin(xi1) ** 2 - 1.0 / (2.0 * xi1 * xi1)
 
@@ -117,7 +126,7 @@ def spline_constants() -> SplineProfileConstants:
             3.0 * u - math.pi
         ) * math.sin(2.0 * u)
 
-    xi2 = find_root_bracketed(wavelet_stationarity, 0.05, 0.6)
+    xi2 = _root(wavelet_stationarity, 0.05, 0.6)
     lam2 = math.sin(2.0 * xi2) ** 2 / (2.0 * xi2 * xi2 * (math.pi - 2.0 * xi2))
     Lam2 = (
         4.0 / math.sin(2.0 * xi2) ** 2
@@ -201,34 +210,184 @@ def spline_wavelet_lower_bound(m: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# predicted limits, rates, and leading-order norms
+# the named targets: each prediction, and what a sweep measures against it
 # ---------------------------------------------------------------------------
-
-LIMIT_TARGETS = (
-    "daubPhiMinusK",
-    "daubPsiK",
-    "splinePhiK",
-    "splinePsiK",
-    "phiPsiRatioDaub",
-    "phiPsiRatioSpline",
-)
-
-RATE_TARGETS = ("daubGeom", "splineGeom", "geomRatio", "fixedKRatio")
-
-NORM_TARGETS = (
-    "splinePhiNorm",
-    "splinePsiNorm",
-    "splineDiagNorm",
-    "daubPhiNorm",
-    "daubPsiNorm",
-    "daubPhiAlphaNorm",
-)
 
 
 def _need(value, name):
     if value is None:
         raise ValueError(f"this target requires parameter {name!r}")
     return value
+
+
+# Predictions take keyword arguments m, k, p, k1, k2 and ignore those they do
+# not use.  A leading-order norm is its k = 0 envelope times its ratio limit.
+
+
+def _spline_phi_k(k=None, **_):
+    return spline_constants().as_dict()["two_xi1"] ** (-_need(k, "k"))
+
+
+def _spline_psi_k(k=None, **_):
+    return spline_constants().as_dict()["psi_peak_scale"] ** (-_need(k, "k"))
+
+
+def _daub_phi_power(a, p):
+    """pi^a (1 + p a)^{-1/p}, finite for p a > -1: the large-order ratio of
+    || |w|^a phihat ||_p to || phihat ||_p in the orthonormal family, whose
+    |phihat| tends to (2 pi)^{-1/2} times the indicator of [-pi, pi]."""
+    if p * a <= -1.0:
+        raise ValueError("need p*alpha > -1 for an integrable weight")
+    return math.pi ** a / (1.0 + p * a) ** (1.0 / p)
+
+
+def _daub_phi_minus_k(k=None, p=None, **_):
+    k, p = _need(k, "k"), _need(p, "p")
+    if k < 0 or p <= 1:
+        raise ValueError("need k >= 0 and p > 1")
+    return _daub_phi_power(k, p)
+
+
+def _daub_psi_k(k=None, p=None, **_):
+    k, p = _need(k, "k"), _need(p, "p")
+    if p <= 1:
+        raise ValueError("need p > 1")
+    if p * k <= 1.0:
+        raise ValueError(
+            f"the fixed-k limit for the orthonormal wavelet needs p*k > 1 "
+            f"(got p*k = {p * k}); no value is defined at or below the pole"
+        )
+    return math.pi ** (-k) * ((1.0 - 2.0 ** (1.0 - p * k)) / (p * k - 1.0)) ** (1.0 / p)
+
+
+def _phi_psi_ratio_daub(k1=None, k2=None, p=None, **_):
+    k1, k2, p = _need(k1, "k1"), _need(k2, "k2"), _need(p, "p")
+    return _daub_phi_minus_k(k=k1, p=p) / _daub_psi_k(k=k2, p=p)
+
+
+def _phi_psi_ratio_spline(**_):
+    c = spline_constants()
+    return math.sqrt(c.lam1 / (c.xi1 * c.lam2 ** 2))
+
+
+def _daub_geom(**_):
+    return 0.5
+
+
+def _spline_geom(**_):
+    return 16.0 / (spline_constants().lam2 * math.pi ** 4)
+
+
+def _spline_envelope(m, p, curvature, growth):
+    """The k = 0 Laplace envelope of a spline norm of order m: `curvature`
+    is -(1/2)(ln profile)'' / m at the peak, `growth` the peak value to the
+    power of the order."""
+    return (
+        2.0 ** (3.0 / p)
+        * (2.0 * math.pi) ** (-(1.0 - 1.0 / p) / 2.0)
+        * math.sqrt(curvature * m * p) ** (-1.0 / p)
+        * growth
+    )
+
+
+def _spline_phi_norm(m=None, k=None, p=None, **_):
+    c, m = spline_constants(), _need(m, "m")
+    return _spline_envelope(m, p, c.Lam1, (c.lam1 / c.xi1) ** (m / 2.0)) * _spline_phi_k(k=k)
+
+
+def _spline_psi_norm(m=None, k=None, p=None, **_):
+    c, m = spline_constants(), _need(m, "m")
+    return _spline_envelope(m, p, 2.0 * c.Lam2, c.lam2 ** m) * _spline_psi_k(k=k)
+
+
+def _spline_diag_norm(m=None, k=None, p=None, **_):
+    m = _need(m, "m")
+    if k is not None and k != m:
+        raise ValueError("the diagonal norm has k tied to m; pass k=None or k=m")
+    return (
+        2.0 ** (1.0 / p)
+        * (2.0 * math.pi) ** (-(1.0 - 1.0 / p) / 2.0)
+        * (math.pi / math.sqrt(math.pi ** 2 - 8.0)) ** (1.0 / p)
+        * math.sqrt(2.0 * m * p) ** (-1.0 / p)
+        * (16.0 / math.pi ** 4) ** m
+    )
+
+
+def _daub_phi_norm(k=None, p=None, **_):
+    # daubPhiMinusK's formula, which the norm also takes at -1/p < alpha < 0
+    return (2.0 * math.pi) ** (1.0 / p - 0.5) * _daub_phi_power(float(_need(k, "k")), p)
+
+
+def _daub_psi_norm(k=None, p=None, **_):
+    return (2.0 * math.pi) ** (1.0 / p - 0.5) * _daub_psi_k(k=k, p=p)
+
+
+@dataclass(frozen=True)
+class _Target:
+    """A named prediction and what a sweep measures against it: per family
+    the norm || |w|^{sign k} fhat ||_p of `part` (a norm target), its ratio
+    to the plain norm (a limit), or the k-th root of that ratio (a rate; of
+    two families, the first one's ratio over the second one's)."""
+
+    kind: str                        # "limit", "rate" or "norm"
+    predict: Callable[..., float]
+    families: Tuple[str, ...] = ()   # () for a target no sweep measures
+    part: str = "psi"
+    sign: int = -1
+    diagonal: bool = False           # k is tied to the order: k = m
+    grid: Tuple[int, ...] = ()       # the sweep's default orders
+
+
+_S, _D, _SD = ("spline",), ("daubechies",), ("spline", "daubechies")
+_S_GRID = (5, 10, 15, 20, 25, 30, 35, 40)
+_D_GRID = (4, 6, 8, 10, 12, 14, 16, 18)
+_RATE_GRID = (10, 12, 14, 16)
+
+_TARGETS = {
+    "daubPhiMinusK": _Target("limit", _daub_phi_minus_k, _D, "phi", +1, grid=_D_GRID),
+    "daubPsiK": _Target("limit", _daub_psi_k, _D, "psi", -1, grid=_D_GRID),
+    "splinePhiK": _Target("limit", _spline_phi_k, _S, "phi", +1, grid=_S_GRID),
+    "splinePsiK": _Target("limit", _spline_psi_k, _S, "psi", -1, grid=_S_GRID),
+    "phiPsiRatioDaub": _Target("limit", _phi_psi_ratio_daub),
+    "phiPsiRatioSpline": _Target("limit", _phi_psi_ratio_spline),
+    "daubGeom": _Target("rate", _daub_geom, _D, diagonal=True, grid=_RATE_GRID),
+    "splineGeom": _Target("rate", _spline_geom, _S, diagonal=True, grid=(10, 15, 20, 25)),
+    "geomRatio": _Target("rate", lambda **_: _spline_geom() / _daub_geom(), _SD, diagonal=True, grid=_RATE_GRID),
+    "fixedKRatio": _Target("rate", lambda **_: math.pi * _spline_psi_k(k=1), _SD, grid=_RATE_GRID),
+    "splinePhiNorm": _Target("norm", _spline_phi_norm, _S, "phi", -1, grid=_S_GRID),
+    "splinePsiNorm": _Target("norm", _spline_psi_norm, _S, "psi", -1, grid=_S_GRID),
+    "splineDiagNorm": _Target("norm", _spline_diag_norm, _S, "psi", -1, True, _S_GRID),
+    "daubPhiNorm": _Target("norm", _daub_phi_norm, _D, "phi", +1, grid=_D_GRID),
+    "daubPsiNorm": _Target("norm", _daub_psi_norm, _D, "psi", -1, grid=_D_GRID),
+    "daubPhiAlphaNorm": _Target("norm", _daub_phi_norm),
+}
+
+LIMIT_TARGETS, RATE_TARGETS, NORM_TARGETS = (
+    tuple(name for name, t in _TARGETS.items() if t.kind == kind) for kind in ("limit", "rate", "norm")
+)
+# the targets a sweep measures
+_SWEEP_TARGETS = tuple(name for name, t in _TARGETS.items() if t.grid)
+
+
+def _target(name: str, kind: str, known: Tuple[str, ...]) -> _Target:
+    t = _TARGETS.get(name)
+    if t is None or t.kind != kind:
+        raise ValueError(f"unknown {kind} target {name!r}; choose from {known}")
+    return t
+
+
+def _named_values() -> dict:
+    """The six profile constants and the eight values derived from them, in
+    the order `bernwave constants` lists them."""
+    return {
+        **spline_constants().as_dict(),
+        "fixed_k_ratio": predict_rate("fixedKRatio"),
+        "spline_geom_rate": predict_rate("splineGeom"),
+        "geom_ratio": predict_rate("geomRatio"),
+        "phi_psi_mix": predict_limit("phiPsiRatioSpline"),
+        "spline_phi_limit_k1": predict_limit("splinePhiK", k=1),
+        "spline_psi_limit_k1": predict_limit("splinePsiK", k=1),
+    }
 
 
 def predict_limit(
@@ -244,52 +403,12 @@ def predict_limit(
     splinePhiK(k), splinePsiK(k), phiPsiRatioDaub(k1, k2, p),
     phiPsiRatioSpline().
     """
-    c = spline_constants()
-    if target == "daubPhiMinusK":
-        k, p = _need(k, "k"), _need(p, "p")
-        if k < 0 or p <= 1:
-            raise ValueError("need k >= 0 and p > 1")
-        return math.pi ** k / (1.0 + p * k) ** (1.0 / p)
-    if target == "daubPsiK":
-        k, p = _need(k, "k"), _need(p, "p")
-        if p <= 1:
-            raise ValueError("need p > 1")
-        if p * k <= 1.0:
-            raise ValueError(
-                f"the fixed-k limit for the orthonormal wavelet needs p*k > 1 "
-                f"(got p*k = {p * k}); no value is defined at or below the pole"
-            )
-        return math.pi ** (-k) * (
-            (1.0 - 2.0 ** (1.0 - p * k)) / (p * k - 1.0)
-        ) ** (1.0 / p)
-    if target == "splinePhiK":
-        k = _need(k, "k")
-        return (2.0 * c.xi1) ** (-k)
-    if target == "splinePsiK":
-        k = _need(k, "k")
-        return (2.0 * math.pi - 4.0 * c.xi2) ** (-k)
-    if target == "phiPsiRatioDaub":
-        k1, k2, p = _need(k1, "k1"), _need(k2, "k2"), _need(p, "p")
-        return predict_limit("daubPhiMinusK", k=k1, p=p) / predict_limit(
-            "daubPsiK", k=k2, p=p
-        )
-    if target == "phiPsiRatioSpline":
-        return math.sqrt(c.lam1 / (c.xi1 * c.lam2 ** 2))
-    raise ValueError(f"unknown limit target {target!r}; choose from {LIMIT_TARGETS}")
+    return _target(target, "limit", LIMIT_TARGETS).predict(k=k, p=p, k1=k1, k2=k2)
 
 
 def predict_rate(target: str) -> float:
     """Geometric rate (per unit order) of a diagonal-index constant."""
-    c = spline_constants()
-    if target == "daubGeom":
-        return 0.5
-    if target == "splineGeom":
-        return 16.0 / (c.lam2 * math.pi ** 4)
-    if target == "geomRatio":
-        return 32.0 / (c.lam2 * math.pi ** 4)
-    if target == "fixedKRatio":
-        return math.pi / (2.0 * math.pi - 4.0 * c.xi2)
-    raise ValueError(f"unknown rate target {target!r}; choose from {RATE_TARGETS}")
+    return _target(target, "rate", RATE_TARGETS).predict()
 
 
 def predict_norm_leading(
@@ -302,53 +421,10 @@ def predict_norm_leading(
 
     Spline targets depend on m (the prediction is an asymptotic formula in
     m); the orthonormal-family targets are the m -> infinity limits of the
-    corresponding norms, so m is accepted and ignored there.
+    corresponding norms, so m is accepted and ignored there.  Each norm but
+    the diagonal one is its k = 0 envelope times the limit of its ratio.
     """
-    c = spline_constants()
     p = _need(p, "p")
     if p <= 1:
         raise ValueError("need p > 1")
-    if target == "splinePhiNorm":
-        m, k = _need(m, "m"), _need(k, "k")
-        return (
-            2.0 ** (3.0 / p)
-            * (2.0 * math.pi) ** (-(1.0 - 1.0 / p) / 2.0)
-            * (2.0 * c.xi1) ** (-k)
-            * math.sqrt(c.Lam1 * m * p) ** (-1.0 / p)
-            * (c.lam1 / c.xi1) ** (m / 2.0)
-        )
-    if target == "splinePsiNorm":
-        m, k = _need(m, "m"), _need(k, "k")
-        return (
-            2.0 ** (3.0 / p)
-            * (2.0 * math.pi) ** (-(1.0 - 1.0 / p) / 2.0)
-            * (2.0 * math.pi - 4.0 * c.xi2) ** (-k)
-            * math.sqrt(2.0 * c.Lam2 * m * p) ** (-1.0 / p)
-            * c.lam2 ** m
-        )
-    if target == "splineDiagNorm":
-        m = _need(m, "m")
-        if k is not None and k != m:
-            raise ValueError("the diagonal norm has k tied to m; pass k=None or k=m")
-        return (
-            2.0 ** (1.0 / p)
-            * (2.0 * math.pi) ** (-(1.0 - 1.0 / p) / 2.0)
-            * (math.pi / math.sqrt(math.pi ** 2 - 8.0)) ** (1.0 / p)
-            * math.sqrt(2.0 * m * p) ** (-1.0 / p)
-            * (16.0 / math.pi ** 4) ** m
-        )
-    if target in ("daubPhiNorm", "daubPhiAlphaNorm"):
-        a = float(_need(k, "k"))
-        if p * a <= -1.0:
-            raise ValueError("need p*alpha > -1 for an integrable weight")
-        return (2.0 * math.pi) ** -0.5 * (
-            2.0 * math.pi ** (p * a + 1.0) / (p * a + 1.0)
-        ) ** (1.0 / p)
-    if target == "daubPsiNorm":
-        k = _need(k, "k")
-        if p * k <= 1.0:
-            raise ValueError("need p*k > 1; the limit norm diverges otherwise")
-        return (2.0 * math.pi) ** -0.5 * (
-            2.0 * math.pi ** (1.0 - p * k) * (1.0 - 2.0 ** (1.0 - p * k)) / (p * k - 1.0)
-        ) ** (1.0 / p)
-    raise ValueError(f"unknown norm target {target!r}; choose from {NORM_TARGETS}")
+    return _target(target, "norm", NORM_TARGETS).predict(m=m, k=k, p=p)

@@ -61,12 +61,7 @@ from scipy.special import zeta as _zeta
 
 from . import daubechies as _daub
 from . import splines as _spl
-from .constants import (
-    predict_limit,
-    predict_norm_leading,
-    predict_rate,
-    spline_bernstein_constant,
-)
+from .constants import _SWEEP_TARGETS, _TARGETS, spline_bernstein_constant
 
 __all__ = [
     "WeightedNormQuery",
@@ -111,7 +106,9 @@ _MAX_DEPTH = 1000
 
 @dataclass(frozen=True)
 class WeightedNormQuery:
-    """An admissible norm || |w|^alpha fhat ||_p; every check lives here."""
+    """An admissible norm || |w|^alpha fhat ||_p; every check lives here,
+    the orthonormal tail's decay gate included when the query takes the
+    quadrature route."""
 
     family: str          # "spline" | "daubechies"
     part: str            # "phi" | "psi"
@@ -147,6 +144,8 @@ class WeightedNormQuery:
             )
         if self.family == "spline" and not (self.m - self.alpha) * self.p > 1.0:
             raise ValueError("need (m - alpha) * p > 1 for a convergent spline norm")
+        if self.family == "daubechies" and not _on_exact_route(self):
+            _daub_tail_gate(self.part, self.m, self.alpha, self.p)
 
 
 @dataclass(frozen=True)
@@ -478,6 +477,23 @@ def _daub_mean_table(m: int):
     return tuple(log_q)
 
 
+def _daub_tail_gate(part, m, alpha, p) -> float:
+    """rho, the ratio of successive sup blocks of the orthonormal tail walk
+    (the same for phi and psi, since psi reduces to phi at the same weight).
+    It must be < 1, or even the far remainder cannot be summed; for p = 2
+    that also rejects weights at or beyond the true decay, e.g. m = 2 with
+    alpha = 1."""
+    cert = _daub_tail_certificate(m)
+    log2_rho = _TAIL_BLOCK * (alpha * p - m * p + 1.0) + 0.5 * p * cert.log2_t[_TAIL_BLOCK]
+    if log2_rho > -0.01:
+        raise ValueError(
+            f"cannot certify tail decay for family=daubechies part={part} m={m} "
+            f"alpha={alpha} p={p}: certified decay exponent {cert.sigma:.3f} is "
+            f"too small for this weight"
+        )
+    return 2.0 ** log2_rho
+
+
 def _daub_tail_bound(part, m, alpha, p, omega):
     """Certified bound on int_Omega^inf w^{alpha p}|fhat(w)|^p dw for the
     orthonormal family: one walk over the octaves [pi 2^n, pi 2^{n+1}) from
@@ -496,22 +512,13 @@ def _daub_tail_bound(part, m, alpha, p, omega):
     Three blocks of sup octaves follow; each later block is at most rho
     times the one before, so the last one times rho / (1 - rho) bounds the
     rest."""
+    rho = _daub_tail_gate(part, m, alpha, p)
+    scale = 1.0
     if part == "psi":
         # |psihat(u)| <= |phihat(u/2)|; substitute u = 2v in the tail integral
-        return 2.0 ** (alpha * p + 1.0) * _daub_tail_bound("phi", m, alpha, p, omega / 2.0)
+        scale, omega = 2.0 ** (alpha * p + 1.0), omega / 2.0
     cert = _daub_tail_certificate(m)
     r_blk, log2_t = _TAIL_BLOCK, cert.log2_t
-    # gate: the geometric ratio of the sup blocks must be < 1, or even the far
-    # remainder cannot be summed (for p = 2 that also rejects weights at
-    # or beyond the true decay, e.g. m = 2 with alpha = 1)
-    log2_rho = r_blk * (alpha * p - m * p + 1.0) + 0.5 * p * log2_t[r_blk]
-    if log2_rho > -0.01:
-        raise ValueError(
-            f"cannot certify tail decay for family=daubechies part={part} m={m} "
-            f"alpha={alpha} p={p}: certified decay exponent {cert.sigma:.3f} is "
-            f"too small for this weight"
-        )
-    rho = 2.0 ** log2_rho
     log_q = _daub_mean_table(m) if p == 2.0 else ()
     beta = (alpha - m) * p
     ln2 = math.log(2.0)
@@ -544,7 +551,7 @@ def _daub_tail_bound(part, m, alpha, p, omega):
         sup_mass += piece
         if jj >= n_mean + 2 * r_blk:
             last_block += piece
-    return mean_mass + (sup_mass + last_block * rho / (1.0 - rho))
+    return scale * (mean_mass + (sup_mass + last_block * rho / (1.0 - rho)))
 
 
 def _tail(q: WeightedNormQuery, omega):
@@ -782,10 +789,15 @@ def weighted_lp_norm(
     quadrature (_quadrature_norm).  Either way certified_rel_error is kept
     below tol or the call raises RuntimeError.
     """
-    q = WeightedNormQuery(family, part, m, float(alpha), float(p), tol)
-    if q.p == 2.0 and q.alpha.is_integer():
-        return _exact_norm(q)
-    return _quadrature_norm(q)
+    return _norm(WeightedNormQuery(family, part, m, float(alpha), float(p), tol))
+
+
+def _on_exact_route(q: WeightedNormQuery) -> bool:
+    return q.p == 2.0 and float(q.alpha).is_integer()
+
+
+def _norm(q: WeightedNormQuery) -> NormResult:
+    return _exact_norm(q) if _on_exact_route(q) else _quadrature_norm(q)
 
 
 def _quadrature_norm(q: WeightedNormQuery) -> NormResult:
@@ -797,8 +809,6 @@ def _quadrature_norm(q: WeightedNormQuery) -> NormResult:
     family, part, m, alpha, p, tol = q.family, q.part, q.m, q.alpha, q.p, q.tol
     mag_tol = tol / 8.0
     f, g, c0 = _make_integrand(q, mag_tol)
-    if q.family == "daubechies":
-        _daub_tail_certificate(m)  # raise early if the grid cannot certify
 
     # bootstrap estimate of the p-th power integral (underestimate: the
     # integrand is nonnegative, so truncation only loses mass)
@@ -846,12 +856,15 @@ def _weight_exponent(sign: int, k: int) -> float:
     return sign * float(k)
 
 
-def _ckp_query(family: str, part: str, m: int, k: int, p: float, tol: float) -> WeightedNormQuery:
-    """The weighted query of ckp(family, part, m, k, p, tol); building it
-    refuses whatever that call refuses, before any norm is computed."""
+def _ratio_queries(family: str, part: str, m: int, k: int, sign: int, p: float, tol: float):
+    """(plain, weighted) queries of the ratio || |w|^{sign k} fhat ||_p /
+    || fhat ||_p; building them refuses what computing the ratio would,
+    before any norm is computed."""
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError("k must be a nonnegative integer")
-    return WeightedNormQuery(family, part, m, _weight_exponent(-1 if part == "psi" else 1, k), float(p), tol)
+    alpha = _weight_exponent(sign, k)
+    return (WeightedNormQuery(family, part, m, 0.0, float(p), tol),
+            WeightedNormQuery(family, part, m, alpha, float(p), tol))
 
 
 def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> CkpResult:
@@ -863,7 +876,8 @@ def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> 
     ratio tends to 0 (at p = 2 like sqrt(6/m) for k = 1), while
     splinePhiK predicts (2 xi1)^{-k}.  k = 0 gives exactly 1.
     """
-    alpha = _ckp_query(family, part, m, k, p, tol).alpha  # refuse before any norm
+    # refuse before any norm
+    alpha = _ratio_queries(family, part, m, k, -1 if part == "psi" else 1, p, tol)[1].alpha
     den = weighted_lp_norm(family, part, m, 0.0, p, tol)
     if k == 0:
         return CkpResult(family, part, m, 0, p, den.value, den.value, 1.0,
@@ -1135,43 +1149,6 @@ def richardson_extrapolate(m_values: Sequence[float], values: Sequence[float], e
     return (v2 * s1 - v1 * s2) / (s1 - s2)
 
 
-# norm targets: (family, part, sign of the weight exponent alpha = sign * k)
-_NORM_SWEEPS = {
-    "splinePhiNorm": ("spline", "phi", -1),
-    "splinePsiNorm": ("spline", "psi", -1),
-    "splineDiagNorm": ("spline", "psi", -1),
-    "daubPhiNorm": ("daubechies", "phi", +1),
-    "daubPsiNorm": ("daubechies", "psi", -1),
-}
-
-# limit targets: (family, part) of the ckp ratio
-_LIMIT_SWEEPS = {
-    "daubPhiMinusK": ("daubechies", "phi"),
-    "daubPsiK": ("daubechies", "psi"),
-    "splinePhiK": ("spline", "phi"),
-    "splinePsiK": ("spline", "psi"),
-}
-
-# rate targets: (default grid, numerator family, denominator family or None)
-# of the wavelet ckp ratio, whose k-th root is measured
-_RATE_SWEEPS = {
-    "splineGeom": ("spline_rate", "spline", None),
-    "daubGeom": ("daub_rate", "daubechies", None),
-    "geomRatio": ("daub_rate", "spline", "daubechies"),
-    "fixedKRatio": ("daub_rate", "spline", "daubechies"),
-}
-
-# targets whose weight index is tied to the order: k = m
-_DIAGONAL_SWEEPS = {"splineDiagNorm", "splineGeom", "daubGeom", "geomRatio"}
-
-_DEFAULT_GRIDS = {
-    "spline": (5, 10, 15, 20, 25, 30, 35, 40),
-    "daubechies": (4, 6, 8, 10, 12, 14, 16, 18),
-    "spline_rate": (10, 15, 20, 25),
-    "daub_rate": (10, 12, 14, 16),
-}
-
-
 def asymptotic_sweep(
     target: str,
     m_grid: Optional[Sequence[int]] = None,
@@ -1190,45 +1167,40 @@ def asymptotic_sweep(
     decay fit of those errors, and the m^{-1/2}-Richardson extrapolant of
     the measured sequence (of measured / predicted for norm targets).
 
-    The grid needs at least two distinct orders, and the queries of every
-    order are checked before the first norm is computed.
+    What each target measures, and its default grid, come from the target
+    table of constants.py.  The grid needs at least two distinct orders,
+    and the queries of every order are built and checked before the first
+    norm is computed; the norms are then those queries' values.
     """
-    index = (lambda m: m) if target in _DIAGONAL_SWEEPS else (lambda m: k)  # weight index k at order m
-    if target in _NORM_SWEEPS:
-        family, part, sign = _NORM_SWEEPS[target]
-        grid_key = family
-        predict = lambda m: predict_norm_leading(target, m=m, k=index(m), p=p)
-        check = lambda m: WeightedNormQuery(family, part, m, _weight_exponent(sign, index(m)), float(p), tol)
-        measure = lambda m: weighted_lp_norm(family, part, m, _weight_exponent(sign, index(m)), p, tol).value
-    elif target in _LIMIT_SWEEPS:
-        family, part = _LIMIT_SWEEPS[target]
-        grid_key = family
-        predict = lambda m: predict_limit(target, k=k, p=p)
-        check = lambda m: _ckp_query(family, part, m, k, p, tol)
-        measure = lambda m: ckp(family, part, m, k, p, tol).ratio
-    elif target in _RATE_SWEEPS:
-        grid_key, num, den = _RATE_SWEEPS[target]
-        if target not in _DIAGONAL_SWEEPS and k < 1:
-            raise ValueError(f"a rate is a k-th root and needs k >= 1, got k = {k}")
-        predict = lambda m: predict_rate(target)
-        check = lambda m: [_ckp_query(f, "psi", m, index(m), p, tol) for f in (num, den) if f]
-
-        def measure(m):
-            r = ckp(num, "psi", m, index(m), p, tol).ratio
-            if den is not None:
-                r /= ckp(den, "psi", m, index(m), p, tol).ratio
-            return r ** (1.0 / index(m))
-    else:
-        raise ValueError(f"unknown sweep target {target!r}")
-
-    grid = tuple(m_grid) if m_grid is not None else _DEFAULT_GRIDS[grid_key]
+    t = _TARGETS.get(target)
+    if t is None or not t.grid:
+        raise ValueError(f"unknown sweep target {target!r}; choose from {', '.join(_SWEEP_TARGETS)}")
+    if t.kind == "rate" and not t.diagonal and k < 1:
+        raise ValueError(f"a rate is a k-th root and needs k >= 1, got k = {k}")
+    grid = tuple(m_grid) if m_grid is not None else t.grid
     if len(grid) < 2 or len(set(grid)) < len(grid):
         raise ValueError(f"a sweep needs at least two distinct orders, got {list(grid)}")
-    for m in grid:
-        check(m)
-    predicted = [predict(m) for m in grid]
-    measured = [measure(m) for m in grid]
-    scaled = [ms / ps for ms, ps in zip(measured, predicted)] if target in _NORM_SWEEPS else measured
+    index = [m if t.diagonal else k for m in grid]  # the weight index k at each order
+
+    def queries(m, kk):  # a norm target's one norm, or (plain, weighted) per family
+        if t.kind == "norm":
+            return [WeightedNormQuery(t.families[0], t.part, m, _weight_exponent(t.sign, kk), float(p), tol)]
+        return [q for f in t.families for q in _ratio_queries(f, t.part, m, kk, t.sign, p, tol)]
+
+    checked = [queries(m, kk) for m, kk in zip(grid, index)]
+    predicted = [t.predict(m=m, k=kk, p=p) for m, kk in zip(grid, index)]
+    value = lru_cache(maxsize=None)(lambda q: _norm(q).value)  # at k = 0 plain and weighted coincide
+    measured = []
+    for kk, qs in zip(index, checked):
+        v = [value(q) for q in qs]
+        if t.kind == "norm":
+            measured.append(v[0])
+            continue
+        r = v[1] / v[0]
+        if len(v) == 4:
+            r /= v[3] / v[2]
+        measured.append(r if t.kind == "limit" else r ** (1.0 / kk))
+    scaled = [ms / ps for ms, ps in zip(measured, predicted)] if t.kind == "norm" else measured
     rel = [abs(ms - ps) / abs(ps) for ms, ps in zip(measured, predicted)]
     lm = np.log(np.asarray(grid, dtype=float))
     le = np.log(np.maximum(rel, 1e-300))

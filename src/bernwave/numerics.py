@@ -1,5 +1,5 @@
-"""Shared numerical kernels: bracketed and polynomial roots, the real ones
-isolated in exact integer arithmetic, and the transforms' scalar/array policy.
+"""Shared numerical kernels: polynomial roots, the real ones isolated in
+exact integer arithmetic, and the transforms' scalar/array policy.
 
 Everything in this module is wavelet-agnostic.  The family modules build on
 these primitives, and the test suite exercises them directly against
@@ -11,13 +11,11 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "scalar_or_array",
-    "find_root_bracketed",
     "poly_real_roots",
     "poly_complex_roots",
 ]
@@ -35,52 +33,6 @@ def scalar_or_array(transform):
         return out if w.ndim else out.item()
 
     return wrapped
-
-
-# ---------------------------------------------------------------------------
-# root finding
-# ---------------------------------------------------------------------------
-
-
-def find_root_bracketed(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-15,
-    max_iter: int = 300,
-) -> float:
-    """Locate the root of f on a sign-changing bracket [a, b].
-
-    Hybrid scheme: a secant step is taken whenever it lands strictly inside
-    the current bracket, otherwise the bracket is bisected, so convergence
-    is locally superlinear and globally monotone.  tol is relative to
-    max(1, |root|).
-    """
-    fa, fb = float(f(a)), float(f(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if not (a < b) or fa * fb > 0:
-        raise ValueError(f"f has no sign change on [{a}, {b}]")
-    lo, hi, flo, fhi = a, b, fa, fb
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, abs(lo) + abs(hi)):
-            break
-        x = hi - fhi * (hi - lo) / (fhi - flo) if fhi != flo else 0.5 * (lo + hi)
-        if not (lo < x < hi):
-            x = 0.5 * (lo + hi)
-        # avoid stalling at a bracket edge
-        margin = 0.01 * (hi - lo)
-        x = min(max(x, lo + margin), hi - margin)
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if flo * fx < 0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

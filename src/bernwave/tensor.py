@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import favard, predict_limit
+from .constants import _TARGETS, favard, predict_limit
 from .norms import CkpResult, ckp
 
 __all__ = [
@@ -127,13 +127,13 @@ def tensor_ckp(
 
 
 def _axis_limit(family: str, part: str, k: int, p: float) -> float:
+    """The limit of the axis ratio ckp(family, part, m, k, p): 1 at k = 0,
+    else the limit target that measures that ratio."""
     if k == 0:
         return 1.0
-    if family == "spline":
-        return predict_limit("splinePsiK" if part == "psi" else "splinePhiK", k=k)
-    if part == "psi":
-        return predict_limit("daubPsiK", k=k, p=p)
-    return predict_limit("daubPhiMinusK", k=k, p=p)
+    (target,) = (name for name, t in _TARGETS.items() if t.kind == "limit" and t.families == (family,)
+                 and t.part == part)
+    return predict_limit(target, k=k, p=p)
 
 
 def tensor_limit(family: str, kind: int, k1: int, k2: int, p: float = 2.0) -> float:

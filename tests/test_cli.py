@@ -9,7 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bernwave import constants
 from bernwave.cli import main
+from bernwave.norms import asymptotic_sweep
+from bernwave.tensor import tensor_limit
 
 ENVELOPE_KEYS = {"command", "parameters", "results", "provenance", "tolerances", "wall_time_ms"}
 
@@ -65,6 +68,33 @@ def test_constants_favard_past_overflow_is_strict_json(capsys):
     vals = {r["name"]: r["value"] for r in env["results"]}
     assert len(vals) == 515
     assert vals["K_512"] == vals["K_514"] == pytest.approx(4.0 / math.pi, rel=1e-15)
+
+
+# `constants --set spline`, recorded when the CLI derived its own extras
+SPLINE_SET_FROZEN = [
+    ("xi1", 1.165561185207212),
+    ("lam1", 0.7246113537767085),
+    ("Lam1", 0.8159779536207201),
+    ("xi2", 0.2853297245111639),
+    ("lam2", 0.6970655662114885),
+    ("Lam2", 1.122290748480406),
+    ("two_xi1", 2.331122370414424),
+    ("psi_peak_scale", 5.141866409134931),
+    ("fixed_k_ratio", 0.6109829395817259),
+    ("spline_geom_rate", 0.23563883232343524),
+    ("geom_ratio", 0.4712776646468705),
+    ("phi_psi_mix", 1.131127078376258),
+    ("spline_phi_limit_k1", 0.428977908964179),
+    ("spline_psi_limit_k1", 0.194481909958497),
+]
+
+
+def test_constants_spline_set_frozen(capsys):
+    code, env = run_json(capsys, ["constants", "--set", "spline"])
+    assert code == 0
+    assert [r["name"] for r in env["results"]] == [name for name, _ in SPLINE_SET_FROZEN]
+    for row, (name, value) in zip(env["results"], SPLINE_SET_FROZEN):
+        assert row["value"] == pytest.approx(value, rel=0.0, abs=5e-15), name
 
 
 def test_constants_all_contains_both_sets(capsys):
@@ -564,6 +594,7 @@ _SWEEP_TARGETS = {
     "splineGeom": 40, "daubGeom": 20, "geomRatio": 20, "fixedKRatio": 20,
 }
 _KNOWN_TARGET = st.sampled_from(sorted(_SWEEP_TARGETS))
+
 _GOOD_GRID = st.lists(st.integers(2, 20), min_size=2, max_size=5, unique=True)
 
 
@@ -606,3 +637,81 @@ def test_sweep_cli_refuses_bad_input_with_one_line(argv):
     code, out, err = _run_quiet(argv)
     assert code == 2, (argv, err)
     _assert_refusal_or_strict_json("sweep", code, out, err)
+
+
+def test_sweep_refusal_properties_cover_every_target():
+    # a target added to the package's table must be added to _SWEEP_TARGETS too
+    assert set(_SWEEP_TARGETS) == set(constants._SWEEP_TARGETS)
+    for name, limit in _SWEEP_TARGETS.items():
+        t = constants._TARGETS[name]
+        assert limit == min(40 if f == "spline" else 20 for f in t.families), name
+
+
+def test_unknown_sweep_target_lists_the_known_ones(capsys):
+    err = _one_line_refusal(capsys, ["sweep", "--target", "splinePsi", "--m-grid", "5,10"], 2)
+    assert all(name in err for name in _SWEEP_TARGETS)
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    help_text = capsys.readouterr().out
+    assert all(name in help_text for name in _SWEEP_TARGETS)
+
+
+# at p = 2 every integer weight takes the exact route, so every target can run
+# its default grid or a drawn one; the rows must be the library's report
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    target=_KNOWN_TARGET,
+    k=st.integers(0, 3),
+    grid=st.one_of(st.none(), st.lists(st.integers(1, 40), min_size=2, max_size=4, unique=True)),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-12]),
+)
+@example(target="daubPhiNorm", k=1, grid=None, tol=1e-6)
+def test_sweep_cli_at_p2_never_crashes(target, k, grid, tol):
+    argv = ["sweep", f"--target={target}", f"--k={k}", "--p=2.0", f"--tol={tol!r}"]
+    if grid is not None:
+        argv.append("--m-grid=" + ",".join(map(str, grid)))
+    code, out, err = _run_quiet(argv)
+    assert code in (0, 1, 2), (code, err)
+    if code != 0:
+        assert out == ""
+        assert err.startswith("bernwave sweep: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    rows = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert all(_finite_numbers(r) for r in rows)
+    rep = asymptotic_sweep(target, m_grid=grid, k=k, p=2.0, tol=tol)
+    assert [(r["m"], r["measured"], r["predicted"]) for r in rows] == list(
+        zip(rep.m_grid, rep.measured, rep.predicted))
+
+
+# both families and every kind, with p off 2 on most draws: each draw runs two
+# certified ratios, so the orders stay small and the tolerances loose
+@settings(derandomize=True, max_examples=36, deadline=None)
+@given(
+    family=_FAMILY,
+    kind=st.sampled_from([3, 1, 2]),
+    m=st.integers(1, 6),
+    k1=st.integers(0, 2),
+    k2=st.integers(0, 2),
+    p=_mostly(st.floats(1.5, 4.0), st.just(2.0)),
+    tol=st.floats(1e-4, 1e-3),
+)
+@example(family="daubechies", kind=3, m=4, k1=1, k2=2, p=3.0, tol=1e-4)
+@example(family="daubechies", kind=1, m=6, k1=1, k2=0, p=1.5, tol=1e-4)
+@example(family="daubechies", kind=2, m=3, k1=0, k2=1, p=2.5, tol=5e-4)
+@example(family="spline", kind=2, m=3, k1=1, k2=2, p=1.5, tol=1e-4)
+def test_tensor_cli_never_crashes(family, kind, m, k1, k2, p, tol):
+    code, out, err = _run_quiet(["tensor", f"--family={family}", f"--kind={kind}", f"--m={m}",
+                                 f"--k1={k1}", f"--k2={k2}", f"--p={p!r}", f"--tol={tol!r}"])
+    assert code in (0, 1, 2), (code, err)
+    if code != 0:
+        assert out == ""
+        assert err.startswith("bernwave tensor: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    row = json.loads(out, parse_constant=_reject_constant)["results"][0]
+    assert _finite_numbers(row)
+    assert row["limit"] == tensor_limit(family, kind, k1, k2, p)
+    assert row["value"] == row["axis1_ratio"] * row["axis2_ratio"]

@@ -186,3 +186,42 @@ def test_predict_norm_leading_validation():
         predict_norm_leading("splineDiagNorm", m=6, k=3, p=2.0)  # k tied to m
     with pytest.raises(ValueError):
         predict_norm_leading("splinePsiNorm", m=5, k=1, p=None)
+
+
+# every prediction at one point, recorded when each target had its own formula
+# (m = 10, p = 3; k = 2 except for the diagonal norm, k1 = 1 and k2 = 2)
+PREDICTIONS_FROZEN = {
+    ("limit", "daubPhiMinusK"): 5.159414248653449,
+    ("limit", "daubPsiK"): 0.058629225662540314,
+    ("limit", "splinePhiK"): 0.18402204637927944,
+    ("limit", "splinePsiK"): 0.03782321330110494,
+    ("limit", "phiPsiRatioDaub"): 33.755850173046376,
+    ("limit", "phiPsiRatioSpline"): 1.131127078376258,
+    ("rate", "daubGeom"): 0.5,
+    ("rate", "splineGeom"): 0.23563883232343524,
+    ("rate", "geomRatio"): 0.4712776646468705,
+    ("rate", "fixedKRatio"): 0.6109829395817259,
+    ("norm", "splinePhiNorm", 2): 0.01086985055582213,
+    ("norm", "splinePsiNorm", 2): 0.0005504974626442972,
+    ("norm", "splineDiagNorm", 10): 6.509606801796013e-09,
+    ("norm", "daubPhiNorm", 2): 3.798135205719873,
+    ("norm", "daubPsiNorm", 2): 0.043160272724972026,
+    ("norm", "daubPhiAlphaNorm", 0.5): 0.9613870962597918,
+}
+
+
+@pytest.mark.parametrize("key", sorted(PREDICTIONS_FROZEN))
+def test_predictions_frozen(key):
+    kind, target = key[:2]
+    if kind == "limit":
+        got = predict_limit(target, k=2, p=3.0, k1=1, k2=2)
+    elif kind == "rate":
+        got = predict_rate(target)
+    else:
+        got = predict_norm_leading(target, m=10, k=key[2], p=3.0)
+    assert got == pytest.approx(PREDICTIONS_FROZEN[key], rel=5e-15)
+
+
+def test_target_lists_cover_every_target():
+    assert len(LIMIT_TARGETS + RATE_TARGETS + NORM_TARGETS) == 16
+    assert {key[1] for key in PREDICTIONS_FROZEN} == set(LIMIT_TARGETS + RATE_TARGETS + NORM_TARGETS)

@@ -671,3 +671,41 @@ def test_ckp_refuses_divergent_numerator_before_quadrature():
     with pytest.raises(ValueError, match="convergent"):
         ckp("spline", "phi", 1, 1, 1.2)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_tail_gate_refuses_before_any_quadrature(monkeypatch):
+    # the numerator's weight is beyond what the certified decay can sum; the
+    # denominator's quadrature (about 9 s) used to run before the refusal
+    from bernwave import norms
+
+    calls = []
+    quadrature = norms._composite_integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_composite_integrate", counted)
+    with pytest.raises(ValueError, match="cannot certify tail decay"):
+        ckp("daubechies", "phi", 2, 1, 1.279, 5e-4)
+    with pytest.raises(ValueError, match="cannot certify tail decay"):
+        norms.asymptotic_sweep("daubPhiMinusK", m_grid=[4, 2], k=1, p=1.279, tol=5e-4)
+    assert calls == []
+
+
+def test_tail_gate_names_the_callers_part():
+    # the wavelet tail reduces to the scaling one; the refusal still says psi
+    with pytest.raises(ValueError, match="part=psi m=2 alpha=1.0 p=1.5"):
+        weighted_lp_norm("daubechies", "psi", 2, 1.0, 1.5)
+
+
+def test_exact_route_builds_no_tail_certificate(monkeypatch):
+    # a certificate allocates 2^22-point arrays; p = 2 with an integer weight
+    # never needs one, the query check included
+    from bernwave import norms
+
+    built = []
+    monkeypatch.setattr(norms, "_daub_tail_certificate", lambda m: built.append(m))
+    assert ckp("daubechies", "phi", 4, 1, 2.0).ratio > 0.0
+    assert norms.asymptotic_sweep("daubPsiK", m_grid=[4, 6], k=1, p=2.0).measured[0] > 0.0
+    assert built == []

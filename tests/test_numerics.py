@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bernwave import daubechies, splines
-from bernwave.numerics import find_root_bracketed, poly_complex_roots, poly_real_roots
+from bernwave.numerics import poly_complex_roots, poly_real_roots
 from bernwave.splines import euler_frobenius
 
 _TRANSFORMS = [
@@ -37,20 +37,6 @@ def test_transforms_share_scalar_array_policy(transform, scalar_type):
         v = transform(3, x)
         assert type(v) is scalar_type, (x, type(v))
         assert v == pytest.approx(transform(3, np.array([float(x)]))[0], rel=1e-11)
-
-
-def test_find_root_cos():
-    assert abs(find_root_bracketed(math.cos, 1.0, 2.0) - math.pi / 2.0) < 1e-14
-
-
-def test_find_root_sqrt2():
-    r = find_root_bracketed(lambda x: x * x - 2.0, 0.0, 2.0)
-    assert abs(r - math.sqrt(2.0)) < 1e-14
-
-
-def test_find_root_requires_bracket():
-    with pytest.raises(ValueError):
-        find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_poly_real_roots_cubic():
