@@ -9,25 +9,37 @@ one modulus model, |fhat(w)| = (2 pi)^{-1/2} |w|^z e^{r(w)}: z = m for a
 wavelet (its vanishing moments), z = 0 for a scaling function, and the
 regular part r, finite at 0 and bounded above by r_max, comes from the
 family module that also builds the public magnitude.  So one integrand,
-exp(p (r(w) - ln(2 pi)/2 + (z + alpha) ln w)), serves all four cases, its
-small-w bound is exp(p (r_max - ln(2 pi)/2)) w^{(z + alpha) p}, and the
-query is admissible at 0 exactly when (z + alpha) p > -1.
+exp(p (r(w) - ln(2 pi)/2 + (z + alpha) ln w)), serves all four cases (folded
+onto one period for the splines), its small-w bound is
+exp(p (r_max - ln(2 pi)/2)) w^{(z + alpha) p}, and the query is admissible
+at 0 exactly when (z + alpha) p > -1.
 
 One quadrature engine serves every integral here: composite
 Gauss-Legendre panels (GL15 value, GL7 check) that split where the two
-disagree.  For a norm off the exact p = 2 route (below) it integrates
-w^{alpha*p} |fhat(w)|^p over (0, Omega) on panels aligned to multiples of
-pi (all kinks of |sin|^q live there) with a dyadic stack toward w = 0, and
-a rigorous bound on the tail beyond Omega is added.  The coefficient
+disagree, on panels aligned to multiples of pi (all kinks of |sin|^q live
+there) with a dyadic stack toward w = 0.  Off the exact p = 2 route (below)
+the two families take different roads to a finite window.
+
+A spline transform is a periodic factor over a power: w^{alpha p} |fhat(w)|^p
+= C P(w)^p w^{-s} with s = (m - alpha) p > 1 and P of period T (2 pi for the
+B-spline, 4 pi for the wavelet).  Folding the half-line onto one period
+turns the norm into one finite integral, int_0^T of the integrand at theta
+times the lattice factor sum_{l>=0} (theta / (theta + l T))^s = 1 +
+(theta/T)^s zeta(s, 1 + theta/T) (_one_period_norm): no tail and no cutoff.
+Below the dyadic stack the integrand is C' theta^g h(theta) with h between
+closed-form bounds, so that head enters the value at its midpoint and the
+certificate with its half-width.
+
+For the orthonormal family the window is (0, Omega) and a rigorous bound on
+the tail beyond Omega is added (_quadrature_norm).  |phihat(w)|^2 equals
+(2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j) with B >= 1 a fixed
+trigonometric polynomial, and the tail is one walk over the octaves
+[pi 2^n, pi 2^{n+1}) from the cutoff (_daub_tail_bound): each octave's mass
+is bounded by the exact octave mean of the partial product (p = 2, from the
+transfer matrix) or else by its certified supremum (grid plus Bernstein
+inflation), and a geometric remainder closes the sum.  The coefficient
 bound's real-line integrals run on the same engine in a doubling window,
-with an absolute floor for the signed ones.  Spline transforms have
-elementary envelopes, so their tails are closed-form.  For the orthonormal
-family, |phihat(w)|^2 equals (2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j)
-with B >= 1 a fixed trigonometric polynomial, and the tail is one walk over
-the octaves [pi 2^n, pi 2^{n+1}) from the cutoff (_daub_tail_bound): each
-octave's mass is bounded by the exact octave mean of the partial product
-(p = 2, from the transfer matrix) or else by its certified supremum (grid
-plus Bernstein inflation), and a geometric remainder closes the sum.
+with an absolute floor for the signed ones.
 
 At p = 2 with an integer alpha no quadrature runs: weighted_lp_norm takes
 an exact route, chosen from the query alone.  A spline's weighted transform
@@ -61,7 +73,7 @@ from scipy.special import zeta as _zeta
 
 from . import daubechies as _daub
 from . import splines as _spl
-from .constants import _SWEEP_TARGETS, _TARGETS, spline_bernstein_constant
+from .constants import _SWEEP_TARGETS, _TARGETS, _dirichlet_lambda, spline_bernstein_constant
 
 __all__ = [
     "WeightedNormQuery",
@@ -152,12 +164,17 @@ class WeightedNormQuery:
 class NormResult:
     """A certified norm: |value / exact - 1| <= certified_rel_error.
 
-    From the quadrature route, cutoff is the upper end of the window, panels
-    the number of Gauss-Legendre panels on it and tail_bound the rigorous
-    bound on the p-th power beyond it.  From the exact route (p = 2, integer
-    alpha) there is no window: panels = 0 and tail_bound = 0.0, and cutoff
-    is pi, finite and positive so that log2(cutoff / pi) = 0 reads as "no
-    cutoff search"."""
+    The three routes fill the window fields differently.
+      - Exact route (p = 2, integer alpha): no window, so panels = 0,
+        tail_bound = 0.0 and cutoff = pi, finite and positive so that
+        log2(cutoff / pi) = 0 reads as "no cutoff search".
+      - One-period route (every other spline query): the window is the
+        period T itself, so cutoff = T (2 pi for phi, 4 pi for psi),
+        panels counts the Gauss-Legendre panels on (0, T] and tail_bound is
+        0.0, since the lattice factor folds the whole half-line in.
+      - Quadrature route (every other orthonormal query): cutoff is the upper
+        end of the window, panels the number of panels on it and tail_bound
+        the rigorous bound on the p-th power beyond it."""
 
     query: WeightedNormQuery
     value: float
@@ -223,21 +240,9 @@ class AsymptoticReport:
 # ---------------------------------------------------------------------------
 
 
-def _make_integrand(q: WeightedNormQuery, mag_tol: float):
-    """Return (vectorized integrand of the p-th power, small-w exponent g,
-    coefficient C with integrand <= C * w^g near 0), from the modulus
-    model (2 pi)^{-1/2} w^z e^{r(w)} with r <= r_max."""
-    m, p = q.m, q.p
-    if q.family == "spline" and q.part == "phi":
-        r, r_max = (lambda w: m * _spl._log_abs_sinc(0.5 * w)), 0.0
-    elif q.family == "spline":
-        r, r_max = (lambda w: _spl._log_wavelet_regular(m, w)), -m * math.log(4.0)
-    elif q.part == "phi":
-        r, r_max = (lambda w: _daub._log_phi_hat(m, w, mag_tol)), 0.0
-    else:
-        r = lambda w: _daub._log_psi_regular(m, w, mag_tol)
-        r_max = 0.5 * math.log(sum(_daub._p_coeffs(m))) - m * math.log(4.0)
-    g = q.zero_order + q.alpha
+def _weighted_power(r, g: float, p: float):
+    """w -> exp(p (r(w) - ln(2 pi)/2 + g ln w)), vectorized: the p-th power
+    of w^alpha |fhat(w)| in the modulus model, g = z + alpha."""
     lc = -0.5 * _LN_2PI
 
     def f(w):
@@ -248,7 +253,44 @@ def _make_integrand(q: WeightedNormQuery, mag_tol: float):
         e *= p
         return np.exp(e, out=e)
 
-    return f, g * p, math.exp(p * (r_max + lc))
+    return f
+
+
+def _make_integrand(q: WeightedNormQuery, mag_tol: float):
+    """Return (vectorized integrand of the p-th power, small-w exponent g,
+    coefficient C with integrand <= C * w^g near 0) for an orthonormal
+    query, from the modulus model (2 pi)^{-1/2} w^z e^{r(w)} with r <= r_max."""
+    m, p = q.m, q.p
+    if q.part == "phi":
+        r, r_max = (lambda w: _daub._log_phi_hat(m, w, mag_tol)), 0.0
+    else:
+        r = lambda w: _daub._log_psi_regular(m, w, mag_tol)
+        r_max = 0.5 * math.log(sum(_daub._p_coeffs(m))) - m * math.log(4.0)
+    g = q.zero_order + q.alpha
+    return _weighted_power(r, g, p), g * p, math.exp(p * (r_max - 0.5 * _LN_2PI))
+
+
+def _folded_integrand(q: WeightedNormQuery):
+    """(vectorized F on (0, T], period T) for a spline query, with
+    F(theta) = sum_{l>=0} f(theta + l T) and f(w) = w^{alpha p} |fhat(w)|^p.
+
+    f = C P^p w^{-s} with P T-periodic and s = (m - alpha) p, so
+    F = f(theta) sum_{l>=0} (theta / (theta + l T))^s
+      = f(theta) (1 + (theta/T)^s zeta(s, 1 + theta/T)):
+    every base is at most 1, so nothing overflows at high order."""
+    m, p = q.m, q.p
+    if q.part == "phi":
+        period, r = 2.0 * math.pi, (lambda w: m * _spl._log_abs_sinc(0.5 * w))
+    else:
+        period, r = 4.0 * math.pi, (lambda w: _spl._log_wavelet_regular(m, w))
+    f = _weighted_power(r, q.zero_order + q.alpha, p)
+    s = (m - q.alpha) * p
+
+    def folded(theta):
+        x = theta / period
+        return f(theta) * (1.0 + x ** s * _zeta(s, 1.0 + x))
+
+    return folded, period
 
 
 # ---------------------------------------------------------------------------
@@ -321,64 +363,26 @@ def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, abs_floor=
     return total, err, lo.size
 
 
-def _build_edges(omega, small_expo, small_coeff, abs_target):
+def _build_edges(omega, head_error, target):
     """Panel edges on (eps, omega]: pi/4-wide panels aligned so every
-    multiple of pi is an edge, plus a dyadic stack shrinking toward 0.
-    Returns (edges, head_bound) where head_bound >= integral over (0, eps)."""
+    multiple of pi is an edge, plus a dyadic stack shrinking toward 0 down to
+    the first eps = (pi/4) 2^-D with head_error(eps) <= target, D <=
+    _MAX_DEPTH.  Returns (edges, eps)."""
     w0 = 0.25 * math.pi
     n = int(round(omega / w0))
     if 22 * n > _NODE_BUDGET:  # do not even allocate the edges
         raise RuntimeError(_BUDGET_MESSAGE)
     body = w0 * np.arange(1, n + 1)
-    g1 = small_expo + 1.0
-    # pick eps = w0 * 2^-D with remaining mass below abs_target, D <= _MAX_DEPTH
-    head_bound = lambda eps: small_coeff * eps ** g1 / g1
     depth = 1
-    while depth < _MAX_DEPTH and head_bound(w0 * 2.0 ** (-depth)) > abs_target:
+    while depth < _MAX_DEPTH and head_error(w0 * 2.0 ** (-depth)) > target:
         depth += 1
     head = w0 * 2.0 ** (-np.arange(depth, 0, -1, dtype=float))
-    return np.concatenate([head, body]), head_bound(w0 * 2.0 ** (-depth))
+    return np.concatenate([head, body]), w0 * 2.0 ** (-depth)
 
 
 # ---------------------------------------------------------------------------
 # tail certificates
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _spline_tail_mean(part: str, m: int, p: float) -> float:
-    """Mean over one period of the oscillatory factor of |fhat(u)|^p u^{mp}.
-
-    For the B-spline that factor is |sin(u/2)|^{mp} (exact Wallis mean);
-    for the wavelet it is sin(u/4)^{2mp} A_m(u/2 + pi)^p, averaged by a
-    trapezoid rule over its 4 pi period (the integrand is at least C^2,
-    so 2^17 points leave an error far below what the tail can resolve).
-    """
-    q = m * p
-    if part == "phi":
-        return math.exp(math.lgamma(0.5 * (q + 1.0)) - math.lgamma(0.5 * q + 1.0)) / math.sqrt(math.pi)
-    u = 4.0 * math.pi * np.arange(1 << 17) / (1 << 17)
-    vals = np.abs(np.sin(0.25 * u)) ** (2.0 * q) * _spl.autocorrelation_symbol(m, 0.5 * u + math.pi) ** p
-    return float(vals.mean())
-
-
-def _spline_tail(part, m, alpha, p, omega):
-    """(estimate, uncertainty) for int_Omega^inf w^{alpha p}|fhat(w)|^p dw.
-
-    The integrand is exactly C w^{-s} P(w) with P periodic (period 2 pi
-    for the spline, 4 pi for the wavelet), 0 <= P <= 1 and
-    s = (m - alpha) p > 1.  The mean of P gives
-    the estimate C Pbar Omega^{1-s}/(s-1); the oscillatory remainder is
-    bounded by Abel summation (integrals of P - Pbar over whole periods
-    vanish) by 2 T C Omega^{-s} -- one power of Omega smaller, which is
-    what keeps slowly decaying cases inside the cutoff budget."""
-    s = (m - alpha) * p
-    num = 2.0 if part == "phi" else 4.0
-    c = math.exp(-0.5 * p * _LN_2PI) * num ** (m * p)
-    period = 2.0 * math.pi if part == "phi" else 4.0 * math.pi
-    est = c * _spline_tail_mean(part, m, p) * omega ** (1.0 - s) / (s - 1.0)
-    unc = 2.0 * period * c * omega ** (-s)
-    return est, unc
 
 
 # the orthonormal tail: octaves per block of the sup-product table, log2 of its
@@ -552,16 +556,6 @@ def _daub_tail_bound(part, m, alpha, p, omega):
         if jj >= n_mean + 2 * r_blk:
             last_block += piece
     return scale * (mean_mass + (sup_mass + last_block * rho / (1.0 - rho)))
-
-
-def _tail(q: WeightedNormQuery, omega):
-    """(estimate, uncertainty) of the integral beyond the cutoff.  The
-    estimate is added to the computed integral; only the uncertainty
-    enters the error budget.  The orthonormal certificate is a pure
-    upper bound, so there the estimate is zero."""
-    if q.family == "spline":
-        return _spline_tail(q.part, q.m, q.alpha, q.p, omega)
-    return 0.0, _daub_tail_bound(q.part, q.m, q.alpha, q.p, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -783,11 +777,14 @@ def weighted_lp_norm(
     orthonormal scaling function (part="phi") or wavelet (part="psi") of
     order m.
 
-    A query with p = 2 and an integer alpha takes the exact route
-    (_exact_norm: integer Gram sums for splines, a certified refinement
-    solve for the orthonormal family); every other query runs the
-    quadrature (_quadrature_norm).  Either way certified_rel_error is kept
-    below tol or the call raises RuntimeError.
+    The route follows from the query alone.  p = 2 with an integer alpha
+    takes the exact route (_exact_norm: integer Gram sums for splines, a
+    certified refinement solve for the orthonormal family).  Every other
+    spline query is one integral over one period of the transform
+    (_one_period_norm), and every other orthonormal query runs the
+    quadrature with a certified tail (_quadrature_norm).  Each way
+    certified_rel_error is kept below tol or the call raises RuntimeError;
+    NormResult says what cutoff, panels and tail_bound mean on each route.
     """
     return _norm(WeightedNormQuery(family, part, m, float(alpha), float(p), tol))
 
@@ -797,22 +794,93 @@ def _on_exact_route(q: WeightedNormQuery) -> bool:
 
 
 def _norm(q: WeightedNormQuery) -> NormResult:
-    return _exact_norm(q) if _on_exact_route(q) else _quadrature_norm(q)
+    if _on_exact_route(q):
+        return _exact_norm(q)
+    return _one_period_norm(q) if q.family == "spline" else _quadrature_norm(q)
+
+
+def _certify(q: WeightedNormQuery, f, edges, head, head_error, tail, floor, window) -> NormResult:
+    """Integrate f on edges to quadrature tolerance tol/2, with one retry 8
+    times tighter, and certify half the p-th power of the norm as that
+    integral plus head.  The error budget is the GL15/GL7 discrepancy plus
+    head_error and tail (absolute, on the p-th power) and the relative floor."""
+    tol = q.tol
+    for quad_rel in (0.5 * tol, 0.0625 * tol):
+        integral, quad_err, panels = _composite_integrate(f, edges, quad_rel)
+        total = integral + head
+        if not (total > 0.0 and math.isfinite(total)):
+            raise RuntimeError("the norm underflows double precision")
+        cre = (quad_err + tail + head_error) / (q.p * total) + floor
+        if cre <= tol:
+            return NormResult(q, (2.0 * total) ** (1.0 / q.p), cre, window, tail, panels)
+    raise RuntimeError(f"could not certify the norm to tol={tol} (achieved {cre:.2e})")
+
+
+def _one_period_norm(q: WeightedNormQuery) -> NormResult:
+    """The spline route of weighted_lp_norm off the exact route: the
+    folded integrand (_folded_integrand) over one period (0, T].
+
+    Below the dyadic stack, on (0, eps), the folded integrand is
+    C' theta^g h(theta), g = (z + alpha) p, with h between closed-form bounds:
+      - the B-spline: C' = (2 pi)^{-p/2}, and h is sinc(theta/2)^{mp} times
+        the lattice factor, so h_lo = sinc(eps/2)^{mp} and
+        h_hi = 1 + (eps/T)^s zeta(s, 1);
+      - the wavelet: |psihat|^p carries A_m(theta/2 + pi)^p, and pairing the
+        lattice terms l and -1-l of A_m gives, for 0 <= delta < pi,
+        cos^{2m}(delta/2) A_m(pi) <= A_m(pi + delta) <= R(delta/pi) A_m(pi),
+        R(t) = ((1 + t)^{-2m} + (1 - t)^{-2m}) / 2, with
+        A_m(pi) = 2 (2/pi)^{2m} lambda(2m).  So C' = (2 pi)^{-p/2} 4^{-mp}
+        A_m(pi)^p, h_lo = sinc(eps/2)^{2mp} (sinc(x/2) cos(x/2) = sinc(x))
+        and h_hi = R(eps/(2 pi))^p (1 + (eps/T)^s zeta(s, 1)).
+    The head enters the value at the midpoint of C' eps^{g+1}/(g+1) [h_lo, h_hi]
+    and the certificate with its half-width, at most 1 - h_lo/h_hi of the
+    whole integral; the stack stops once that is below p tol / 4.  The
+    relative floor 1e-14 covers the zeta and A_m evaluations."""
+    m, p = q.m, q.p
+    f, period = _folded_integrand(q)
+    s = (m - q.alpha) * p
+    g1 = (q.zero_order + q.alpha) * p + 1.0
+    zeta1 = float(_zeta(s, 1.0))
+    log_c = -0.5 * p * _LN_2PI
+    if q.part == "phi":
+        n_sinc, log_rise = m, (lambda t: 0.0)
+    else:
+        n_sinc = 2 * m
+        log_rise = lambda t: math.log(0.5 * (math.exp(-n_sinc * math.log1p(t))
+                                             + math.exp(-n_sinc * math.log1p(-t))))
+        log_a_pi = math.log(2.0) + n_sinc * math.log(2.0 / math.pi) + math.log(_dirichlet_lambda(n_sinc))
+        log_c += p * (log_a_pi - m * math.log(4.0))
+
+    def log_h_bounds(eps):
+        lo = n_sinc * p * math.log(math.sin(0.5 * eps) / (0.5 * eps))
+        hi = p * log_rise(eps / (2.0 * math.pi)) + math.log1p((eps / period) ** s * zeta1)
+        return lo, hi
+
+    def spread(eps):  # 1 - h_lo / h_hi
+        lo, hi = log_h_bounds(eps)
+        return -math.expm1(lo - hi)
+
+    edges, eps = _build_edges(period, spread, 0.25 * p * q.tol)
+    lo, hi = (math.exp(b) for b in log_h_bounds(eps))
+    lead = math.exp(log_c + g1 * math.log(eps)) / g1
+    return _certify(q, f, edges, 0.5 * lead * (hi + lo), 0.5 * lead * (hi - lo), 0.0, 1e-14, period)
 
 
 def _quadrature_norm(q: WeightedNormQuery) -> NormResult:
-    """The quadrature route of weighted_lp_norm, callable on any query.
+    """The orthonormal route of weighted_lp_norm off the exact route.
 
     Its certified_rel_error accounts for quadrature discrepancy, the
-    rigorously bounded tail beyond the cutoff, and (for the orthonormal
-    family) the truncation certificate of the infinite symbol product."""
-    family, part, m, alpha, p, tol = q.family, q.part, q.m, q.alpha, q.p, q.tol
+    rigorously bounded tail beyond the cutoff, the bound on the mass below
+    the dyadic stack, and the truncation certificate of the infinite
+    symbol product."""
+    part, m, alpha, p, tol = q.part, q.m, q.alpha, q.p, q.tol
     mag_tol = tol / 8.0
     f, g, c0 = _make_integrand(q, mag_tol)
+    head = lambda eps: c0 * eps ** (g + 1.0) / (g + 1.0)
 
     # bootstrap estimate of the p-th power integral (underestimate: the
     # integrand is nonnegative, so truncation only loses mass)
-    boot_edges, _ = _build_edges(64.0 * math.pi, g, c0, 1e-280)
+    boot_edges, _ = _build_edges(64.0 * math.pi, head, 1e-280)
     i_boot, _, _ = _composite_integrate(f, boot_edges, 1e-3)
     if not (i_boot > 0.0) or not math.isfinite(i_boot):
         raise RuntimeError("bootstrap integral failed; the norm may underflow")
@@ -820,26 +888,17 @@ def _quadrature_norm(q: WeightedNormQuery) -> NormResult:
     tail_target = 0.25 * tol * i_boot
     for lpow in range(6, 25):  # cutoffs pi 2^6 .. pi 2^24
         omega = math.pi * 2.0 ** lpow
-        tail_est, tail = _tail(q, omega)
+        tail = _daub_tail_bound(part, m, alpha, p, omega)
         if tail <= tail_target:
             break
     else:
         raise RuntimeError(
             f"tail cannot be certified below target within the cutoff budget "
-            f"(family={family}, part={part}, m={m}, alpha={alpha}, p={p})"
+            f"(family=daubechies, part={part}, m={m}, alpha={alpha}, p={p})"
         )
 
-    edges, head = _build_edges(omega, g, c0, tail_target / 10.0)
-    for quad_rel in (0.5 * tol, 0.0625 * tol):  # one retry, 8 times tighter
-        integral, quad_err, panels = _composite_integrate(f, edges, quad_rel)
-        total = integral + tail_est
-        cre = (quad_err + tail + head) / (q.p * total) + (mag_tol if family == "daubechies" else 1e-14)
-        if cre <= tol:
-            break
-    else:
-        raise RuntimeError(f"could not certify the norm to tol={tol} (achieved {cre:.2e})")
-    value = (2.0 * total) ** (1.0 / q.p)
-    return NormResult(q, value, cre, omega, tail, panels)
+    edges, eps = _build_edges(omega, head, tail_target / 10.0)
+    return _certify(q, f, edges, 0.0, head(eps), tail, mag_tol, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -867,6 +926,12 @@ def _ratio_queries(family: str, part: str, m: int, k: int, sign: int, p: float, 
             WeightedNormQuery(family, part, m, alpha, float(p), tol))
 
 
+def _ckp_queries(family: str, part: str, m: int, k: int, p: float, tol: float):
+    """The (plain, weighted) queries of ckp: the inverse weight on a
+    wavelet, the direct one on a scaling function."""
+    return _ratio_queries(family, part, m, k, -1 if part == "psi" else 1, p, tol)
+
+
 def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> CkpResult:
     """Coefficient constant of order m at weight index k: the ratio of the
     weighted to the plain Fourier L_p norm.  The wavelet ratio uses the
@@ -876,8 +941,7 @@ def ckp(family: str, part: str, m: int, k: int, p: float, tol: float = 1e-8) -> 
     ratio tends to 0 (at p = 2 like sqrt(6/m) for k = 1), while
     splinePhiK predicts (2 xi1)^{-k}.  k = 0 gives exactly 1.
     """
-    # refuse before any norm
-    alpha = _ratio_queries(family, part, m, k, -1 if part == "psi" else 1, p, tol)[1].alpha
+    alpha = _ckp_queries(family, part, m, k, p, tol)[1].alpha  # refuse before any norm
     den = weighted_lp_norm(family, part, m, 0.0, p, tol)
     if k == 0:
         return CkpResult(family, part, m, 0, p, den.value, den.value, 1.0,

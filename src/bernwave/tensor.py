@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import _TARGETS, favard, predict_limit
-from .norms import CkpResult, ckp
+from .norms import CkpResult, _ckp_queries, ckp
 
 __all__ = [
     "TensorCkpResult",
@@ -114,9 +114,12 @@ def tensor_ckp(
 
     Separability is exact on the Fourier side, so no two-dimensional
     quadrature is involved; the certificate is the sum of the axis
-    certificates.
+    certificates.  Both axes' queries are built, and so checked, before
+    the first norm is computed.
     """
     part1, part2 = _axis_parts(family, kind, k1, k2, p)
+    _ckp_queries(family, part1, m, k1, p, tol)
+    _ckp_queries(family, part2, m, k2, p, tol)
     a1 = ckp(family, part1, m, k1, p, tol)
     a2 = ckp(family, part2, m, k2, p, tol)
     return TensorCkpResult(

@@ -685,6 +685,33 @@ def test_sweep_cli_at_p2_never_crashes(target, k, grid, tol):
         zip(rep.m_grid, rep.measured, rep.predicted))
 
 
+# off p = 2 a spline norm is one integral over one period, a few milliseconds,
+# so spline sweeps can run on every draw; the rows must be the library's report
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from(sorted(t for t in _SWEEP_TARGETS if constants._TARGETS[t].families == ("spline",))),
+    k=st.integers(0, 3),
+    grid=st.lists(st.integers(1, 40), min_size=2, max_size=3, unique=True),
+    p=st.floats(1.2, 4.0).filter(lambda p: p != 2.0),
+    tol=st.sampled_from([1e-6, 1e-8]),
+)
+def test_sweep_cli_off_p2_never_crashes(target, k, grid, p, tol):
+    argv = _sweep_argv(target, grid, p=p, tol=tol, extra=(f"--k={k}",))
+    code, out, err = _run_quiet(argv)
+    assert code in (0, 1, 2), (code, err)
+    if code != 0:
+        assert out == ""
+        assert err.startswith("bernwave sweep: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    rows = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert all(_finite_numbers(r) for r in rows)
+    rep = asymptotic_sweep(target, m_grid=grid, k=k, p=p, tol=tol)
+    assert [(r["m"], r["measured"], r["predicted"]) for r in rows] == list(
+        zip(rep.m_grid, rep.measured, rep.predicted))
+
+
 # both families and every kind, with p off 2 on most draws: each draw runs two
 # certified ratios, so the orders stay small and the tolerances loose
 @settings(derandomize=True, max_examples=36, deadline=None)

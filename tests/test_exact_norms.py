@@ -6,7 +6,10 @@ integers and Fractions; Parseval for the orthonormal family; and, for the
 orthonormal family at m <= 8, an exact Fraction solve of the refinement
 equation for the derivative samples Phi^{(2 alpha)}(l) of the autocorrelation
 of phi, the unfolded system with its moment normalisation.  The quadrature
-route is then held to its own certificate against the exact values.
+route and the one-period spline route are then held to their own
+certificates against exact values: the Gram sums at p = 2, at p = 4 through
+Nhat_m^2 = Nhat_{2m} / sqrt(2 pi), and a Mellin closed form for fractional
+weights.
 """
 
 import math
@@ -14,7 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from bernwave.norms import WeightedNormQuery, _quadrature_norm, weighted_lp_norm
+from bernwave.norms import (
+    WeightedNormQuery,
+    _one_period_norm,
+    _quadrature_norm,
+    _spline_l2_squared,
+    weighted_lp_norm,
+)
 
 # a reference rounds twice: the exact square to float, then its square root
 _REF_ROUNDING = 2.0 ** -52
@@ -203,4 +212,54 @@ def test_quadrature_route_within_its_certificate():
         gap = abs(quad.value - exact.value)
         if not gap <= quad.certified_rel_error * exact.value + exact.certified_rel_error * exact.value:
             bad.append((part, m, alpha, gap / exact.value, quad.certified_rel_error))
+    assert not bad
+
+
+# ---------------------------------------------------------------------------
+# the one-period spline route against exact values
+# ---------------------------------------------------------------------------
+
+
+def _mellin_phi_p2(m, a):
+    """|| |w|^a Nhat_m ||_2 for fractional a at 80 digits:
+    2^{2a+1}/pi int_0^inf x^{2a-2m} sin^{2m} x dx, and with sin^{2m} x =
+    sum_j c_j cos(2jx) the integral is the Mellin transform
+    Gamma(s) cos(pi s/2) sum_{j>=1} c_j (2j)^{-s}, s = 2a - 2m + 1, where
+    c_j = 2^{1-2m} (-1)^j C(2m, m-j)."""
+    import mpmath
+
+    with mpmath.workdps(80):
+        a = mpmath.mpf(a)
+        s = 2 * a - 2 * m + 1
+        cos_sum = sum((-1) ** j * mpmath.binomial(2 * m, m - j) * (2 * j) ** -s for j in range(1, m + 1))
+        mellin = mpmath.gamma(s) * mpmath.cos(mpmath.pi * s / 2) * cos_sum / mpmath.mpf(2) ** (2 * m - 1)
+        return float(mpmath.sqrt(2 ** (2 * a + 1) / mpmath.pi * mellin))
+
+
+# (m, a) with 2a not an integer, where Gamma(s) has no pole
+_MELLIN_POINTS = [(1, -0.3), (2, -0.4), (3, -0.4), (5, 0.7), (5, -0.25), (8, 2.3), (8, -0.45),
+                  (12, 5.3), (20, -0.3), (40, -0.2), (40, 25.1)]
+
+
+def test_one_period_route_against_exact_values():
+    # _one_period_norm is called directly, so it also runs where weighted_lp_norm
+    # takes the exact route; no reference uses its folded integrand
+    bad = []
+
+    def check(label, q, want, ref_err):
+        r = _one_period_norm(q)
+        if not abs(r.value - want) <= (r.certified_rel_error + ref_err) * want:
+            bad.append((label, q.part, q.m, q.alpha, abs(r.value / want - 1.0), r.certified_rel_error))
+
+    for m in list(range(1, 13)) + [20, 40]:
+        for part, lowest in (("phi", 0), ("psi", -m)):
+            for alpha in range(lowest, m):
+                check("p=2", WeightedNormQuery("spline", part, m, float(alpha), 2.0),
+                      math.sqrt(_spline_l2_squared(part, m, alpha)), _REF_ROUNDING)
+        # || w^a Nhat_m ||_4^4 = || w^{2a} Nhat_{2m} ||_2^2 / (2 pi)
+        for twice in range(2 * m):
+            check("p=4", WeightedNormQuery("spline", "phi", m, twice / 2.0, 4.0),
+                  (_spline_l2_squared("phi", 2 * m, twice) / (2.0 * math.pi)) ** 0.25, 2.0 * _REF_ROUNDING)
+    for m, a in _MELLIN_POINTS:
+        check("mellin", WeightedNormQuery("spline", "phi", m, a, 2.0), _mellin_phi_p2(m, a), _REF_ROUNDING)
     assert not bad

@@ -17,6 +17,7 @@ from bernwave.norms import (
     WeightedNormQuery,
     _composite_integrate,
     _N_GRID,
+    _folded_integrand,
     _make_integrand,
     _real_line_integral,
     asymptotic_sweep,
@@ -488,11 +489,21 @@ def test_negative_weight_certifies_without_underflow():
 
 
 def test_norm_result_certificate_fields():
-    # p = 3 runs the quadrature route, whose fields describe its window
-    r = weighted_lp_norm("spline", "psi", 4, -1.0, 3.0, tol=1e-9)
+    # an orthonormal query at p = 3 runs the quadrature route, whose fields
+    # describe its window
+    r = weighted_lp_norm("daubechies", "psi", 4, -1.0, 3.0, tol=1e-9)
     assert r.certified_rel_error <= 1e-9
     assert r.cutoff > 0.0 and r.tail_bound >= 0.0 and r.panels >= 1
     assert r.query.m == 4 and r.query.alpha == -1.0
+
+
+@pytest.mark.parametrize("part, period", [("phi", 2.0 * math.pi), ("psi", 4.0 * math.pi)])
+def test_one_period_route_certificate_fields(part, period):
+    # a spline query off the exact route folds the half-line onto one period:
+    # its window is that period, with panels on it and no tail
+    r = weighted_lp_norm("spline", part, 4, -1.0 if part == "psi" else 0.5, 3.0, tol=1e-9)
+    assert r.certified_rel_error <= 1e-9
+    assert r.panels >= 1 and r.tail_bound == 0.0 and r.cutoff == period
 
 
 def test_exact_route_certificate_fields():
@@ -505,8 +516,8 @@ def test_exact_route_certificate_fields():
 
 
 def test_fractional_weight_at_p2_runs_quadrature():
-    r = weighted_lp_norm("spline", "psi", 4, 0.5, 2.0)
-    assert r.panels >= 1 and r.tail_bound > 0.0
+    r = weighted_lp_norm("daubechies", "phi", 6, 0.5, 2.0)
+    assert r.panels >= 1 and r.tail_bound > 0.0 and r.cutoff > 2.0 * math.pi
 
 
 def test_d4_weight_one_is_refused_at_p2():
@@ -636,16 +647,36 @@ _PUBLIC_MAGNITUDE = {
 }
 
 
+def _folded_reference(weighted, s, period, theta, terms=64):
+    """sum_{l>=0} weighted(theta + l T): the first `terms` from the public
+    magnitude, the rest at 30 digits from mpmath's Hurwitz zeta, since
+    weighted(theta + l T) = weighted(theta) (theta / (theta + l T))^s."""
+    import mpmath
+
+    near = sum(weighted(theta + l * period) for l in range(terms))
+    with mpmath.workdps(30):
+        far = [float((th / period) ** s * mpmath.zeta(s, terms + th / period)) for th in theta]
+    return near + weighted(theta) * np.array(far)
+
+
 @pytest.mark.parametrize("family, part", sorted(_PUBLIC_MAGNITUDE))
 @pytest.mark.parametrize("m, alpha, p", [(2, -0.25, 2.0), (4, 0.0, 1.5), (6, 1.0, 3.0)])
 def test_integrand_is_weighted_public_magnitude(family, part, m, alpha, p):
     # one modulus model: the norm integrand is w^{alpha p} |fhat(w)|^p with
-    # |fhat| the public magnitude, down to small w where psi has its zero
+    # |fhat| the public magnitude, down to small w where psi has its zero;
+    # a spline's is that sum folded onto one period (0, T]
     q = WeightedNormQuery(family, part, m, alpha, p, 1e-8)
+    weighted = lambda w: w ** (alpha * p) * _PUBLIC_MAGNITUDE[family, part](m, w) ** p
+    if family == "spline":
+        f, period = _folded_integrand(q)
+        assert period == (2.0 if part == "phi" else 4.0) * math.pi
+        theta = period * np.logspace(-7, -0.02, 301)
+        want = _folded_reference(weighted, (m - alpha) * p, period, theta)
+        np.testing.assert_allclose(f(theta), want, rtol=1e-11, atol=0.0)
+        return
     f, expo, coeff = _make_integrand(q, 1e-13)
     w = np.logspace(-6, 3, 301)
-    want = w ** (alpha * p) * _PUBLIC_MAGNITUDE[family, part](m, w) ** p
-    np.testing.assert_allclose(f(w), want, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(f(w), weighted(w), rtol=1e-11, atol=0.0)
     assert expo == (q.zero_order + alpha) * p
     assert np.all(f(w) <= coeff * w ** expo * (1.0 + 1e-12))
 

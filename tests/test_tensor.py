@@ -76,6 +76,26 @@ def test_tensor_ckp_validation():
         tensor_ckp("spline", 3, 3, 1, -2, 2.0)
 
 
+@pytest.mark.parametrize("family, kind, m, k1, k2, p, match", [
+    # the phi axis comes second, and its weight |w|^2 diverges for m = 2
+    ("spline", 1, 2, 1, 2, 1.5, "convergent"),
+    # the psi axis comes second, and its weight |w|^-3 exceeds m = 2 vanishing moments
+    ("daubechies", 2, 2, 0, 3, 3.0, "absorbs"),
+])
+def test_tensor_ckp_refuses_second_axis_before_any_norm(monkeypatch, family, kind, m, k1, k2, p, match):
+    from bernwave import norms
+
+    calls = []
+    norm = norms._norm
+    monkeypatch.setattr(norms, "_norm", lambda q: calls.append(q) or norm(q))
+    with pytest.raises(ValueError, match=match):
+        tensor_ckp(family, kind, m, k1, k2, p, tol=1e-4)
+    assert calls == []
+    # the first axis alone computes: the refusal comes from the second
+    ckp(family, "psi" if kind == 1 else "phi", m, k1, p, tol=1e-4)
+    assert calls
+
+
 def test_tensor_limit_values():
     assert tensor_limit("spline", 3, 1, 1) == pytest.approx(0.03782321330110494, rel=1e-12)
     assert tensor_limit("spline", 3, 1, 1) == pytest.approx(
