@@ -115,6 +115,70 @@ def _root(f, a: float, b: float) -> float:
     return brentq(f, a, b, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
+# double-double arithmetic (Dekker 1971): a pair (hi, lo) stands for hi + lo
+_SPLIT = 134217729.0  # 2^27 + 1
+_DD_PI = (math.pi, 1.2246467991473532e-16)  # pi = math.pi + 1.2246e-16 to 1e-32
+
+
+def _two_sum(a: float, b: float):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a: float, b: float):
+    p = a * b
+    a1 = _SPLIT * a
+    a1 -= a1 - a
+    b1 = _SPLIT * b
+    b1 -= b1 - b
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    return _two_sum(s, e + x[1] + y[1])
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return _two_sum(p, e + x[0] * y[1] + x[1] * y[0])
+
+
+def _dd_div(x, n: int):
+    q = x[0] / n
+    p, e = _two_prod(q, float(n))
+    return _two_sum(q, ((x[0] - p) - e + x[1]) / n)
+
+
+def _dd_sin_cos(x: float):
+    """(sin x, cos x) in double-double for a float 0 <= x <= 1: Horner on
+    the Taylor series through x^29 and x^28, whose remainders are at most
+    1/31! and 1/30! < 4e-33."""
+    x2 = _two_prod(x, x)
+    s = c = (1.0, 0.0)
+    for k in range(14, 0, -1):
+        s = _dd_add((1.0, 0.0), _dd_div(_dd_mul(x2, s), -(2 * k) * (2 * k + 1)))
+        c = _dd_add((1.0, 0.0), _dd_div(_dd_mul(x2, c), -(2 * k - 1) * (2 * k)))
+    return _dd_mul(s, (x, 0.0)), c
+
+
+def _wavelet_stationarity_root(u: float) -> float:
+    """One Newton step on (2 pi u - 4 u^2) cos 2u + (3u - pi) sin 2u from a
+    float u a few ulp from its root.  In float64 the two products cancel to
+    a residual whose rounding error moves the root by several ulp, so the
+    residual is formed in double-double.  The step's own error is about
+    1e-31, so it lands on the correctly rounded root unless that root lies
+    within 1e-31 of a midpoint between two floats."""
+    s, c = _dd_sin_cos(2.0 * u)
+    a = _dd_add(_dd_mul((2.0 * _DD_PI[0], 2.0 * _DD_PI[1]), (u, 0.0)), _dd_mul((-4.0 * u, 0.0), (u, 0.0)))
+    b = _dd_add(_two_prod(3.0, u), (-_DD_PI[0], -_DD_PI[1]))
+    f = _dd_add(_dd_mul(a, c), _dd_mul(b, s))
+    df = (2.0 * math.pi - 8.0 * u + 2.0 * b[0]) * c[0] + (3.0 - 2.0 * a[0]) * s[0]
+    return u - (f[0] + f[1]) / df
+
+
 @lru_cache(maxsize=1)
 def spline_constants() -> SplineProfileConstants:
     xi1 = _root(lambda x: 2.0 / math.tan(x) - 1.0 / x, 0.5, 1.5)
@@ -126,7 +190,7 @@ def spline_constants() -> SplineProfileConstants:
             3.0 * u - math.pi
         ) * math.sin(2.0 * u)
 
-    xi2 = _root(wavelet_stationarity, 0.05, 0.6)
+    xi2 = _wavelet_stationarity_root(_root(wavelet_stationarity, 0.05, 0.6))
     lam2 = math.sin(2.0 * xi2) ** 2 / (2.0 * xi2 * xi2 * (math.pi - 2.0 * xi2))
     Lam2 = (
         4.0 / math.sin(2.0 * xi2) ** 2

@@ -35,9 +35,11 @@ the tail beyond Omega is added (_quadrature_norm).  |phihat(w)|^2 equals
 (2 pi)^{-1} sinc(w/2)^{2m} * prod_{j>=1} B(w/2^j) with B >= 1 a fixed
 trigonometric polynomial, and the tail is one walk over the octaves
 [pi 2^n, pi 2^{n+1}) from the cutoff (_daub_tail_bound): each octave's mass
-is bounded by the exact octave mean of the partial product (p = 2, from the
-transfer matrix) or else by its certified supremum (grid plus Bernstein
-inflation), and a geometric remainder closes the sum.  The coefficient
+is bounded through the certified supremum of the partial product (grid plus
+Bernstein inflation) and, on the octaves n < 70, through its exact mean
+(from the transfer matrix), which bounds the L_2 mass and reaches every
+other p by Hoelder; such an octave counts the smaller bound (the mean alone
+at p = 2), and a geometric remainder closes the sum.  The coefficient
 bound's real-line integrals run on the same engine in a doubling window,
 with an absolute floor for the signed ones.
 
@@ -388,6 +390,8 @@ def _build_edges(omega, head_error, target):
 # the orthonormal tail: octaves per block of the sup-product table, log2 of its
 # grid, and the octaves n < _MEAN_OCTAVES whose exact mean _daub_mean_table holds
 _TAIL_BLOCK, _TAIL_GRID_POW, _MEAN_OCTAVES = 12, 22, 70
+# log(pi 2^n) for every octave [pi 2^n, pi 2^{n+1}) that starts below the float limit
+_LOG_OCTAVE = np.array([math.log(math.pi * 2.0 ** n) for n in range(1023)])
 
 
 @dataclass(frozen=True)
@@ -396,6 +400,7 @@ class _DaubTailCertificate:
     bmax: float           # sup B = P(1)
     log_e: float          # log of the small-argument product bound E_m
     sigma: float          # certified decay: |phihat(w)|^2 <= C * w^-sigma
+    log_sup: np.ndarray   # log(T_{n+1} E_m) for the octaves n of _LOG_OCTAVE, T from log2_t
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +433,11 @@ def _daub_tail_certificate(m: int) -> _DaubTailCertificate:
         log_e += math.log(float(np.polyval(pc[::-1], yi)))
     log_e += (bmax - 1.0) * (math.pi ** 2 / 4.0) * 4.0 ** (-61) * (4.0 / 3.0)
     sigma = 2.0 * m - log2_t[_TAIL_BLOCK] / _TAIL_BLOCK
-    return _DaubTailCertificate(tuple(log2_t), bmax, log_e, sigma)
+    # T_r of r = q block + s octaves is at most T_block^q T_s
+    ln2, t, nn = math.log(2.0), np.array(log2_t), np.arange(1, _LOG_OCTAVE.size + 1)
+    log_sup = (nn // _TAIL_BLOCK) * t[_TAIL_BLOCK] * ln2 + t[nn % _TAIL_BLOCK] * ln2 + log_e
+    log_sup.flags.writeable = False
+    return _DaubTailCertificate(tuple(log2_t), bmax, log_e, sigma, log_sup)
 
 
 def _folded_decimation(h: np.ndarray, size: int) -> np.ndarray:
@@ -478,7 +487,9 @@ def _daub_mean_table(m: int):
         c = c / mid
         acc += math.log(mid)
         log_q.append(acc)
-    return tuple(log_q)
+    log_q = np.array(log_q)
+    log_q.flags.writeable = False
+    return log_q
 
 
 def _daub_tail_gate(part, m, alpha, p) -> float:
@@ -498,6 +509,17 @@ def _daub_tail_gate(part, m, alpha, p) -> float:
     return 2.0 ** log2_rho
 
 
+def _walk_mass(lp, n_lead, rho):
+    """The mass of a tail walk from the logs lp of its octave bounds: n_lead
+    leading octaves, then three sup blocks whose last one, times
+    rho / (1 - rho), bounds the rest.  The leading sum is added last."""
+    piece = [math.exp(x) if x < 700.0 else math.inf for x in lp.tolist()]
+    lead = sum(piece[:n_lead], 0.0)
+    sup = sum(piece[n_lead:n_lead + 3 * _TAIL_BLOCK], 0.0)
+    last = sum(piece[n_lead + 2 * _TAIL_BLOCK:n_lead + 3 * _TAIL_BLOCK], 0.0)
+    return lead + (sup + last * rho / (1.0 - rho))
+
+
 def _daub_tail_bound(part, m, alpha, p, omega):
     """Certified bound on int_Omega^inf w^{alpha p}|fhat(w)|^p dw for the
     orthonormal family: one walk over the octaves [pi 2^n, pi 2^{n+1}) from
@@ -506,56 +528,74 @@ def _daub_tail_bound(part, m, alpha, p, omega):
 
     With w = 2^n theta, prod_{j>=1} B(w/2^j) splits exactly into
     Pi_n(theta) = prod_{i<n} B(2^i theta) times prod_{l>=1} B(theta/2^l) <=
-    B(pi) E_m (B increases on [0, pi]).  An octave's mass is bounded
-      - at p = 2 while n < _MEAN_OCTAVES, through the exact mean Q_n of Pi_n
-        and sin^{2m} <= 1: 2^{2m} w_lo^{2(alpha-m)} 2^n Q_n B_max E_m (2 pi,
-        the mean's period, cancels the (2 pi)^{-1} of |phihat|^2);
-      - else through the certified sup of Pi_{n+1} (split at w/2^{n+1} <= pi,
-        so the rest is at most E_m) from the block table, against the exact
-        integral of w^{(alpha-m) p} over the octave.
-    Three blocks of sup octaves follow; each later block is at most rho
-    times the one before, so the last one times rho / (1 - rho) bounds the
-    rest."""
+    B(pi) E_m (B increases on [0, pi]).  Two bounds serve an octave:
+      - the sup bound: the certified sup T_{n+1} of Pi_{n+1} (split at
+        w/2^{n+1} <= pi, so the rest is at most E_m) from the block table,
+        against the exact integral of w^{(alpha-m) p} over the octave;
+      - the mean bound, while n < _MEAN_OCTAVES: the exact mean Q_n of Pi_n
+        and sin^{2m} <= 1 bound the L_2 mass int_oct w^{2 alpha}|phihat|^2 by
+        M_2 = 2^{2m} w_lo^{2(alpha-m)} 2^n Q_n B_max E_m (2 pi, the mean's
+        period, cancels the (2 pi)^{-1} of |phihat|^2).  Hoelder carries it
+        to every p: (w_hi - w_lo)^{1-p/2} M_2^{p/2} for p < 2, and
+        S^{p-2} M_2 for p > 2, with S = (2 pi)^{-1/2} 2^m w_lo^{alpha-m}
+        (T_{n+1} E_m)^{1/2} the octave's sup of w^alpha |phihat|.  Both need
+        alpha <= m, and the gate's alpha < m - 1/p gives it.
+    The octaves n < _MEAN_OCTAVES take M_2 at p = 2 and the smaller bound at
+    every other p.  Three blocks of sup octaves follow; each later block is
+    at most rho times the one before, so the last one times rho / (1 - rho)
+    bounds the rest.  Off p = 2 the result is also capped by the walk of sup
+    octaves alone from the cutoff: the two are equal but for rounding where
+    the Hoelder bound never wins (m = 1, where Q_n = T_n = 1).
+
+    The octave bounds are arrays computed with the float operations of a
+    scalar loop over the octaves, in the same order, so each is the loop's
+    float; they read _LOG_OCTAVE, the certificate's log_sup and
+    _daub_mean_table.  The walk needs pi <= Omega (2 pi for psi) and its
+    last octave inside the table."""
     rho = _daub_tail_gate(part, m, alpha, p)
     scale = 1.0
     if part == "psi":
         # |psihat(u)| <= |phihat(u/2)|; substitute u = 2v in the tail integral
         scale, omega = 2.0 ** (alpha * p + 1.0), omega / 2.0
     cert = _daub_tail_certificate(m)
-    r_blk, log2_t = _TAIL_BLOCK, cert.log2_t
-    log_q = _daub_mean_table(m) if p == 2.0 else ()
-    beta = (alpha - m) * p
     ln2 = math.log(2.0)
     l0 = math.floor(math.log2(omega / math.pi) + 1e-12)
-    n_mean = max(0, len(log_q) - 1 - l0)
-    # three sums: the last sup block's mass also feeds the remainder, and the
-    # mean octaves' sum is added last, to the sup octaves' and the remainder
-    mean_mass = sup_mass = last_block = 0.0
-    for jj in range(n_mean + 3 * r_blk):
-        lj = l0 + jj
-        w_lo = max(omega, math.pi * 2.0 ** lj) if jj == 0 else math.pi * 2.0 ** lj
-        if jj < n_mean:
-            lp = (2.0 * m + lj) * ln2 + beta * math.log(w_lo) + log_q[lj] \
-                + math.log(cert.bmax) + cert.log_e
-            mean_mass += math.exp(lp) if lp < 700.0 else math.inf
-            continue
-        w_hi = math.pi * 2.0 ** (lj + 1)
-        nn = lj + 1
-        log_pb = (nn // r_blk) * log2_t[r_blk] * ln2 + log2_t[nn % r_blk] * ln2 + cert.log_e
-        if beta + 1.0 > 0.0:
-            log_int = math.log((w_hi ** (beta + 1.0) - w_lo ** (beta + 1.0)) / (beta + 1.0))
-        elif beta + 1.0 < 0.0:
-            log_int = (beta + 1.0) * math.log(w_lo) + math.log(
-                -math.expm1((beta + 1.0) * math.log(w_hi / w_lo))
-            ) - math.log(-(beta + 1.0))
-        else:
-            log_int = math.log(math.log(w_hi / w_lo))
-        lp = -0.5 * p * _LN_2PI + m * p * ln2 + 0.5 * p * log_pb + log_int
-        piece = math.exp(lp) if lp < 700.0 else math.inf
-        sup_mass += piece
-        if jj >= n_mean + 2 * r_blk:
-            last_block += piece
-    return scale * (mean_mass + (sup_mass + last_block * rho / (1.0 - rho)))
+    n_mean = max(0, _MEAN_OCTAVES - l0)
+    walk = slice(l0, l0 + n_mean + 3 * _TAIL_BLOCK)  # the octaves n of the walk
+    if l0 < 0 or walk.stop > _LOG_OCTAVE.size:
+        raise ValueError(f"tail walk from cutoff {omega!r} leaves the octave table")
+    w_lo, w_hi = max(omega, math.pi * 2.0 ** l0), math.pi * 2.0 ** (l0 + 1)
+    log_w = _LOG_OCTAVE[walk].copy()  # log w_lo per octave; the first starts at omega
+    log_w[0] = lw0 = math.log(w_lo)
+    # the gate's log2 rho = 12 (beta + 1) + (p/2) log2 T_12 <= -0.01 with
+    # T_12 >= 1 leaves beta + 1 < 0, so the integral of w^beta over an octave
+    # is w_lo^{beta+1} (1 - (w_hi/w_lo)^{beta+1}) / -(beta + 1), w_hi = 2 w_lo
+    beta1 = (alpha - m) * p + 1.0
+    log_int = beta1 * log_w
+    log_int += math.log(-math.expm1(beta1 * ln2))
+    log_int[0] = beta1 * lw0 + math.log(-math.expm1(beta1 * math.log(w_hi / w_lo)))
+    log_int -= math.log(-beta1)
+    log_pb = cert.log_sup[walk]
+    lp = -0.5 * p * _LN_2PI + m * p * ln2 + 0.5 * p * log_pb + log_int
+    if not n_mean:
+        return scale * _walk_mass(lp, 0, rho)
+    lead = slice(0, n_mean)
+    log_w2 = (alpha - m) * 2.0 * log_w[lead]  # log w_lo^{2(alpha-m)}
+    log_m2 = (2.0 * m + np.arange(l0, _MEAN_OCTAVES)) * ln2 + log_w2 \
+        + _daub_mean_table(m)[l0:_MEAN_OCTAVES] + math.log(cert.bmax) + cert.log_e
+    if p == 2.0:
+        lp[lead] = log_m2
+        return scale * _walk_mass(lp, n_mean, rho)
+    if p < 2.0:
+        log_len = log_w[lead].copy()  # w_hi - w_lo = w_lo on a whole octave
+        log_len[0] = math.log(w_hi - w_lo)
+        log_h = (1.0 - 0.5 * p) * log_len + 0.5 * p * log_m2
+    else:
+        log_s2 = log_w2 + log_pb[lead] + (2.0 * m * ln2 - _LN_2PI)  # log S^2
+        log_h = 0.5 * (p - 2.0) * log_s2 + log_m2
+    sup_only = _walk_mass(lp[:3 * _TAIL_BLOCK], 0, rho)
+    np.minimum(log_h, lp[lead], out=lp[lead])
+    return scale * min(_walk_mass(lp, n_mean, rho), sup_only)
 
 
 # ---------------------------------------------------------------------------

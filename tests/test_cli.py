@@ -341,8 +341,9 @@ def test_bad_input_exits_two_with_one_line(capsys, argv):
 
 
 def test_over_budget_ckp_exits_one_with_one_line(capsys):
+    # the numerator's tail needs a cutoff of pi 2^22, 2^24 panels
     err = _one_line_refusal(capsys, ["ckp", "--family", "daubechies", "--part", "phi", "--m", "6",
-                                     "--k", "1", "--p", "1.5", "--tol", "1e-6"], 1)
+                                     "--k", "1", "--p", "1.25", "--tol", "1e-6"], 1)
     assert "node budget" in err
 
 

@@ -84,6 +84,18 @@ def test_profile_constants_are_critical_points():
     assert g(c.xi2) > g(c.xi2 - 1e-5) and g(c.xi2) > g(c.xi2 + 1e-5)
 
 
+def test_xi2_is_the_correctly_rounded_root():
+    # float64 brentq alone stopped 5 ulp below the root: the residual cancels
+    import mpmath
+
+    with mpmath.workdps(40):
+        f = lambda u: (2 * mpmath.pi * u - 4 * u * u) * mpmath.cos(2 * u) + (3 * u - mpmath.pi) * mpmath.sin(2 * u)
+        root = mpmath.findroot(f, mpmath.mpf("0.2853"))
+        xi2 = spline_constants().xi2
+        assert abs(mpmath.mpf(xi2) - root) <= math.ulp(xi2)
+        assert xi2 == float(root)  # 0.28532972451116384
+
+
 def test_as_dict_derived_entries():
     d = spline_constants().as_dict()
     assert d["two_xi1"] == pytest.approx(2.0 * XI1, abs=1e-14)

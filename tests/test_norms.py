@@ -437,15 +437,23 @@ def test_daub_mean_table_exact_small_orders():
     assert math.exp(lq[5]) == pytest.approx(173716.90625, rel=1e-12)
 
 
-# _daub_tail_bound(part, m, alpha, p, pi 2^l), recorded when the exact-mean and
-# sup-product octaves had their own loops; p = 2 walks 70 - l mean octaves
-# before the sup ones (none from pi 2^71 on), and every other p only sup ones
+# _daub_tail_bound(part, m, alpha, p, pi 2^l).  p = 2 walks 70 - l mean
+# octaves before the sup ones (none from pi 2^71 on), recorded when the
+# exact-mean and sup-product octaves had their own loops.  Every other p
+# takes the smaller of the Hoelder-carried mean bound and the sup bound on
+# those octaves; DAUB_TAIL_SUP_ONLY holds its values from sup octaves alone.
 DAUB_TAIL_FROZEN = {
     ("phi", 4, 1.0, 2.0, 10): 0.006175791146340388,
     ("psi", 4, -1.0, 2.0, 10): 9.104615637439152e-16,
     ("phi", 8, 0.5, 2.0, 6): 2.636132554596084e-05,
     ("psi", 12, -3.0, 2.0, 20): 7.811785347383605e-78,
     ("phi", 3, 0.0, 2.0, 71): 2.8170691073690584e-49,
+    ("phi", 6, 1.0, 1.5, 13): 4.9127551349682705e-05,
+    ("psi", 6, -1.0, 1.5, 8): 6.525708084079328e-10,
+    ("phi", 4, 0.5, 3.0, 9): 2.7909316645913607e-09,
+    ("psi", 10, 2.0, 3.0, 16): 4.65787492784248e-08,
+}
+DAUB_TAIL_SUP_ONLY = {
     ("phi", 6, 1.0, 1.5, 13): 0.0016662074416498918,
     ("psi", 6, -1.0, 1.5, 8): 6.615978943938683e-10,
     ("phi", 4, 0.5, 3.0, 9): 8.278747278888835e-09,
@@ -460,6 +468,96 @@ def test_daub_tail_bound_frozen(key):
     part, m, alpha, p, lpow = key
     got = _daub_tail_bound(part, m, alpha, p, math.pi * 2.0 ** lpow)
     assert got == pytest.approx(DAUB_TAIL_FROZEN[key], rel=1e-14)
+    assert got <= DAUB_TAIL_SUP_ONLY.get(key, got)
+
+
+def _walk_before_hoelder(part, m, alpha, p, omega):
+    """The tail walk as it was before the Hoelder octaves, as a scalar loop:
+    exact-mean octaves at p = 2 only, then sup octaves and the remainder;
+    None where the decay gate refuses."""
+    from bernwave.norms import _TAIL_BLOCK, _daub_mean_table, _daub_tail_certificate
+
+    cert = _daub_tail_certificate(m)
+    t, r, ln2 = cert.log2_t, _TAIL_BLOCK, math.log(2.0)
+    log2_rho = r * (alpha * p - m * p + 1.0) + 0.5 * p * t[r]
+    if log2_rho > -0.01:
+        return None
+    rho, scale = 2.0 ** log2_rho, 1.0
+    if part == "psi":
+        scale, omega = 2.0 ** (alpha * p + 1.0), omega / 2.0
+    beta = (alpha - m) * p
+    l0 = math.floor(math.log2(omega / math.pi) + 1e-12)
+    log_q = _daub_mean_table(m) if p == 2.0 else ()
+    n_mean = max(0, len(log_q) - 1 - l0)
+    mean, sup = [], []
+    for n in range(l0, l0 + n_mean + 3 * r):
+        w_lo, w_hi = max(omega, math.pi * 2.0 ** n), math.pi * 2.0 ** (n + 1)
+        if n < l0 + n_mean:
+            lp = (2.0 * m + n) * ln2 + beta * math.log(w_lo) + log_q[n] + math.log(cert.bmax) + cert.log_e
+            mean.append(math.exp(lp) if lp < 700.0 else math.inf)
+            continue
+        log_pb = ((n + 1) // r) * t[r] * ln2 + t[(n + 1) % r] * ln2 + cert.log_e
+        log_int = (beta + 1.0) * math.log(w_lo) + math.log(-math.expm1((beta + 1.0) * math.log(w_hi / w_lo))) \
+            - math.log(-(beta + 1.0))
+        lp = -0.5 * p * math.log(2.0 * math.pi) + m * p * ln2 + 0.5 * p * log_pb + log_int
+        sup.append(math.exp(lp) if lp < 700.0 else math.inf)
+    return scale * (sum(mean, 0.0) + (sum(sup, 0.0) + sum(sup[2 * r:], 0.0) * rho / (1.0 - rho)))
+
+
+def test_daub_tail_bound_against_the_walk_before_hoelder():
+    # a seeded sample of the grid m <= 20 (five orders, so that the cold
+    # certificates stay cheap), both parts, alpha in Z/2, cutoffs pi 2^6 ..
+    # pi 2^24: p = 2 is unchanged to the last bit, the Hoelder octaves never
+    # raise a bound at any other p, and the gate refuses exactly where it did,
+    # with the same message
+    from bernwave.norms import _daub_tail_bound
+
+    rng = np.random.default_rng(17)
+    points = [(part, m, a / 2.0, p, lpow)
+              for m in (1, 2, 4, 6, 10) for part in ("phi", "psi") for p in (1.25, 1.5, 2.0, 3.0, 6.0)
+              for a in range(-2 * (m if part == "psi" else 0) - 2, 2 * m + 1) for lpow in range(6, 25)]
+    lower = refused = 0
+    for i in rng.choice(len(points), 2000, replace=False):
+        part, m, alpha, p, lpow = points[i]
+        omega = math.pi * 2.0 ** lpow
+        want = _walk_before_hoelder(part, m, alpha, p, omega)
+        if want is None:
+            refused += 1
+            with pytest.raises(ValueError, match=f"part={part} m={m} alpha={alpha} p={p}: certified decay"):
+                _daub_tail_bound(part, m, alpha, p, omega)
+            continue
+        got = _daub_tail_bound(part, m, alpha, p, omega)
+        if p == 2.0:
+            assert got == want, points[i]
+        else:
+            assert got <= want, points[i]
+            lower += got < want
+    assert refused > 0 and lower > 0
+
+
+@pytest.mark.parametrize("part, m, alpha, p", [
+    ("phi", 4, 0.5, 1.25), ("psi", 6, -1.0, 1.5), ("phi", 10, 1.0, 3.0),
+    ("psi", 4, 1.0, 3.0), ("phi", 6, 0.0, 6.0),
+])
+def test_daub_tail_bound_holds_the_octave_mass(part, m, alpha, p):
+    # the integrand is nonnegative, so its mass on [Omega, 16 Omega] is a
+    # lower bound on the whole tail beyond Omega
+    from bernwave.norms import _daub_tail_bound
+
+    q = WeightedNormQuery("daubechies", part, m, alpha, p, 1e-8)
+    f, _, _ = _make_integrand(q, 1e-12)
+    omega = math.pi * 2.0 ** 6
+    total, err, _ = _composite_integrate(f, np.linspace(omega, 16.0 * omega, 481), 1e-8)
+    assert _daub_tail_bound(part, m, alpha, p, omega) >= total + err > 0.0
+
+
+@pytest.mark.parametrize("part, omega", [("phi", 1.0), ("psi", 4.0), ("phi", 1e300)])
+def test_daub_tail_bound_refuses_cutoff_outside_the_octave_table(part, omega):
+    # below pi, or so far out that the walk's last octave passes the float range
+    from bernwave.norms import _daub_tail_bound
+
+    with pytest.raises(ValueError, match="leaves the octave table"):
+        _daub_tail_bound(part, 4, 0.0, 3.0, omega)
 
 
 def test_daub_tail_bound_refuses_weight_at_the_decay():
@@ -528,14 +626,27 @@ def test_d4_weight_one_is_refused_at_p2():
 
 
 def test_over_budget_norm_refuses_before_quadrature():
-    # the sup-route tail puts the cutoff at pi 2^24: 2^26 panels, about
-    # 1.5e9 nodes against a budget of 8e7, refused before any evaluation
+    # the tail puts the cutoff at pi 2^22: 2^24 panels, about 3.7e8 nodes
+    # against a budget of 8e7, refused before any evaluation on the window
     import time
 
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="node budget"):
-        weighted_lp_norm("daubechies", "phi", 6, 1.0, 1.5, 1e-6)
+        weighted_lp_norm("daubechies", "phi", 6, 1.0, 1.25, 1e-6)
     assert time.perf_counter() - t0 < 20.0
+
+
+def test_slow_decay_norm_certifies_through_hoelder_octaves():
+    # on sup octaves alone this tail needed a cutoff of pi 2^24, over the node
+    # budget; the exact L_2 octave means carried to p = 1.5 bring it to
+    # pi 2^17.  The value agrees with the same norm at tol 1e-4: the two
+    # certified intervals for the exact norm overlap
+    fine = weighted_lp_norm("daubechies", "phi", 6, 1.0, 1.5, 1e-6)
+    coarse = weighted_lp_norm("daubechies", "phi", 6, 1.0, 1.5, 1e-4)
+    assert fine.certified_rel_error <= 1e-6 and coarse.certified_rel_error <= 1e-4
+    lo = max(r.value / (1.0 + r.certified_rel_error) for r in (fine, coarse))
+    hi = min(r.value / (1.0 - r.certified_rel_error) for r in (fine, coarse))
+    assert lo <= hi
 
 
 def test_composite_integrate_checks_budget_up_front():
