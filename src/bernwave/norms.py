@@ -16,8 +16,13 @@ at 0 exactly when (z + alpha) p > -1.
 
 One quadrature engine serves every integral here: composite
 Gauss-Legendre panels (GL15 value, GL7 check) that split where the two
-disagree, on panels aligned to multiples of pi (all kinks of |sin|^q live
-there) with a dyadic stack toward w = 0.  Off the exact p = 2 route (below)
+disagree, with a dyadic stack toward w = 0.  Gauss-Legendre converges
+geometrically on a panel where the integrand is analytic, so the panel edges
+hold its non-analytic points, the zeros of |fhat|^p: the one-period spline
+route keeps pi/4-wide panels aligned to multiples of pi, and the orthonormal
+route takes 2 pi-wide panels aligned to multiples of 2 pi, since |phihat|
+vanishes only at the nonzero multiples of 2 pi (sinc(w/2)^m times factors
+>= 1) and |psihat| only at those of 4 pi.  Off the exact p = 2 route (below)
 the two families take different roads to a finite window.
 
 A spline transform is a periodic factor over a power: w^{alpha p} |fhat(w)|^p
@@ -108,9 +113,11 @@ _NODE_BUDGET = 80_000_000
 _BUDGET_MESSAGE = "quadrature node budget exceeded; request a looser tolerance"
 # panel-splitting rounds of one integral before it must have converged
 _MAX_ROUNDS = 24
-# depth of the dyadic stack toward w = 0: eps = (pi/4) 2^-D must stay a normal
-# float, or from D = 1075 on it rounds to 0 and puts a node at w = 0
+# depth of the dyadic stack toward w = 0: eps = width 2^-D (width <= 2 pi) must
+# stay a normal float, or from D = 1075 on it rounds to 0 and puts a node at 0
 _MAX_DEPTH = 1000
+# panel width of the orthonormal quadrature route (see _build_edges)
+_DAUB_PANEL = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +372,23 @@ def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, abs_floor=
     return total, err, lo.size
 
 
-def _build_edges(omega, head_error, target):
-    """Panel edges on (eps, omega]: pi/4-wide panels aligned so every
-    multiple of pi is an edge, plus a dyadic stack shrinking toward 0 down to
-    the first eps = (pi/4) 2^-D with head_error(eps) <= target, D <=
-    _MAX_DEPTH.  Returns (edges, eps)."""
-    w0 = 0.25 * math.pi
-    n = int(round(omega / w0))
+def _build_edges(omega, width, head_error, target):
+    """Panel edges on (eps, omega]: panels `width` wide, aligned so every
+    multiple of width is an edge, plus a dyadic stack shrinking toward 0 down
+    to the first eps = width 2^-D with head_error(eps) <= target, D <=
+    _MAX_DEPTH.  The width is the route's (module docstring): pi/4 on the
+    one-period spline route, 2 pi (_DAUB_PANEL) on the orthonormal route,
+    whose integrand is non-analytic only at the multiples of 2 pi where
+    |fhat| vanishes.  Returns (edges, eps)."""
+    n = int(round(omega / width))
     if 22 * n > _NODE_BUDGET:  # do not even allocate the edges
         raise RuntimeError(_BUDGET_MESSAGE)
-    body = w0 * np.arange(1, n + 1)
+    body = width * np.arange(1, n + 1)
     depth = 1
-    while depth < _MAX_DEPTH and head_error(w0 * 2.0 ** (-depth)) > target:
+    while depth < _MAX_DEPTH and head_error(width * 2.0 ** (-depth)) > target:
         depth += 1
-    head = w0 * 2.0 ** (-np.arange(depth, 0, -1, dtype=float))
-    return np.concatenate([head, body]), w0 * 2.0 ** (-depth)
+    head = width * 2.0 ** (-np.arange(depth, 0, -1, dtype=float))
+    return np.concatenate([head, body]), width * 2.0 ** (-depth)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +401,7 @@ def _build_edges(omega, head_error, target):
 _TAIL_BLOCK, _TAIL_GRID_POW, _MEAN_OCTAVES = 12, 22, 70
 # log(pi 2^n) for every octave [pi 2^n, pi 2^{n+1}) that starts below the float limit
 _LOG_OCTAVE = np.array([math.log(math.pi * 2.0 ** n) for n in range(1023)])
+_FLOAT_MIN = 2.0 ** -1022  # the smallest positive normal float64
 
 
 @dataclass(frozen=True)
@@ -509,15 +519,17 @@ def _daub_tail_gate(part, m, alpha, p) -> float:
     return 2.0 ** log2_rho
 
 
-def _walk_mass(lp, n_lead, rho):
-    """The mass of a tail walk from the logs lp of its octave bounds: n_lead
-    leading octaves, then three sup blocks whose last one, times
-    rho / (1 - rho), bounds the rest.  The leading sum is added last."""
+def _walk_mass(lp, n_lead, rho, scale):
+    """scale times the mass of a tail walk from the logs lp of its octave
+    bounds: n_lead leading octaves, then three sup blocks whose last one,
+    times rho / (1 - rho), bounds the rest.  The leading sum is added last.
+    Floored at the smallest normal float: where every octave bound
+    underflows, 0.0 or a denormal would be no upper bound on a positive mass."""
     piece = [math.exp(x) if x < 700.0 else math.inf for x in lp.tolist()]
     lead = sum(piece[:n_lead], 0.0)
     sup = sum(piece[n_lead:n_lead + 3 * _TAIL_BLOCK], 0.0)
     last = sum(piece[n_lead + 2 * _TAIL_BLOCK:n_lead + 3 * _TAIL_BLOCK], 0.0)
-    return lead + (sup + last * rho / (1.0 - rho))
+    return max(scale * (lead + (sup + last * rho / (1.0 - rho))), _FLOAT_MIN)
 
 
 def _daub_tail_bound(part, m, alpha, p, omega):
@@ -551,7 +563,8 @@ def _daub_tail_bound(part, m, alpha, p, omega):
     scalar loop over the octaves, in the same order, so each is the loop's
     float; they read _LOG_OCTAVE, the certificate's log_sup and
     _daub_mean_table.  The walk needs pi <= Omega (2 pi for psi) and its
-    last octave inside the table."""
+    last octave inside the table, and its mass is floored at the smallest
+    normal float (_walk_mass)."""
     rho = _daub_tail_gate(part, m, alpha, p)
     scale = 1.0
     if part == "psi":
@@ -578,14 +591,14 @@ def _daub_tail_bound(part, m, alpha, p, omega):
     log_pb = cert.log_sup[walk]
     lp = -0.5 * p * _LN_2PI + m * p * ln2 + 0.5 * p * log_pb + log_int
     if not n_mean:
-        return scale * _walk_mass(lp, 0, rho)
+        return _walk_mass(lp, 0, rho, scale)
     lead = slice(0, n_mean)
     log_w2 = (alpha - m) * 2.0 * log_w[lead]  # log w_lo^{2(alpha-m)}
     log_m2 = (2.0 * m + np.arange(l0, _MEAN_OCTAVES)) * ln2 + log_w2 \
         + _daub_mean_table(m)[l0:_MEAN_OCTAVES] + math.log(cert.bmax) + cert.log_e
     if p == 2.0:
         lp[lead] = log_m2
-        return scale * _walk_mass(lp, n_mean, rho)
+        return _walk_mass(lp, n_mean, rho, scale)
     if p < 2.0:
         log_len = log_w[lead].copy()  # w_hi - w_lo = w_lo on a whole octave
         log_len[0] = math.log(w_hi - w_lo)
@@ -593,9 +606,9 @@ def _daub_tail_bound(part, m, alpha, p, omega):
     else:
         log_s2 = log_w2 + log_pb[lead] + (2.0 * m * ln2 - _LN_2PI)  # log S^2
         log_h = 0.5 * (p - 2.0) * log_s2 + log_m2
-    sup_only = _walk_mass(lp[:3 * _TAIL_BLOCK], 0, rho)
+    sup_only = _walk_mass(lp[:3 * _TAIL_BLOCK], 0, rho, scale)
     np.minimum(log_h, lp[lead], out=lp[lead])
-    return scale * min(_walk_mass(lp, n_mean, rho), sup_only)
+    return min(_walk_mass(lp, n_mean, rho, scale), sup_only)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +913,7 @@ def _one_period_norm(q: WeightedNormQuery) -> NormResult:
         lo, hi = log_h_bounds(eps)
         return -math.expm1(lo - hi)
 
-    edges, eps = _build_edges(period, spread, 0.25 * p * q.tol)
+    edges, eps = _build_edges(period, 0.25 * math.pi, spread, 0.25 * p * q.tol)
     lo, hi = (math.exp(b) for b in log_h_bounds(eps))
     lead = math.exp(log_c + g1 * math.log(eps)) / g1
     return _certify(q, f, edges, 0.5 * lead * (hi + lo), 0.5 * lead * (hi - lo), 0.0, 1e-14, period)
@@ -918,10 +931,15 @@ def _quadrature_norm(q: WeightedNormQuery) -> NormResult:
     f, g, c0 = _make_integrand(q, mag_tol)
     head = lambda eps: c0 * eps ** (g + 1.0) / (g + 1.0)
 
-    # bootstrap estimate of the p-th power integral (underestimate: the
-    # integrand is nonnegative, so truncation only loses mass)
-    boot_edges, _ = _build_edges(64.0 * math.pi, head, 1e-280)
-    i_boot, _, _ = _composite_integrate(f, boot_edges, 1e-3)
+    # bootstrap estimate of the p-th power integral to 1e-3 (an underestimate:
+    # the integrand is nonnegative, so truncation only loses mass): the body
+    # on (eps, 64 pi] with a stack of depth 1, then a deeper stack only until
+    # the head below it is at most 1e-4 of that body
+    edges, eps = _build_edges(64.0 * math.pi, _DAUB_PANEL, head, math.inf)
+    i_boot = _composite_integrate(f, edges, 1e-3)[0]
+    if head(eps) > 1e-4 * i_boot:
+        edges, _ = _build_edges(eps, eps, head, 1e-4 * i_boot)
+        i_boot += _composite_integrate(f, edges, 1e-3)[0]
     if not (i_boot > 0.0) or not math.isfinite(i_boot):
         raise RuntimeError("bootstrap integral failed; the norm may underflow")
 
@@ -937,7 +955,7 @@ def _quadrature_norm(q: WeightedNormQuery) -> NormResult:
             f"(family=daubechies, part={part}, m={m}, alpha={alpha}, p={p})"
         )
 
-    edges, eps = _build_edges(omega, head, tail_target / 10.0)
+    edges, eps = _build_edges(omega, _DAUB_PANEL, head, tail_target / 10.0)
     return _certify(q, f, edges, 0.0, head(eps), tail, mag_tol, omega)
 
 

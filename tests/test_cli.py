@@ -341,9 +341,9 @@ def test_bad_input_exits_two_with_one_line(capsys, argv):
 
 
 def test_over_budget_ckp_exits_one_with_one_line(capsys):
-    # the numerator's tail needs a cutoff of pi 2^22, 2^24 panels
+    # the numerator's tail needs a cutoff of pi 2^23, 2^22 panels of width 2 pi
     err = _one_line_refusal(capsys, ["ckp", "--family", "daubechies", "--part", "phi", "--m", "6",
-                                     "--k", "1", "--p", "1.25", "--tol", "1e-6"], 1)
+                                     "--k", "1", "--p", "1.2", "--tol", "1e-6"], 1)
     assert "node budget" in err
 
 
@@ -686,17 +686,8 @@ def test_sweep_cli_at_p2_never_crashes(target, k, grid, tol):
         zip(rep.m_grid, rep.measured, rep.predicted))
 
 
-# off p = 2 a spline norm is one integral over one period, a few milliseconds,
-# so spline sweeps can run on every draw; the rows must be the library's report
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(
-    target=st.sampled_from(sorted(t for t in _SWEEP_TARGETS if constants._TARGETS[t].families == ("spline",))),
-    k=st.integers(0, 3),
-    grid=st.lists(st.integers(1, 40), min_size=2, max_size=3, unique=True),
-    p=st.floats(1.2, 4.0).filter(lambda p: p != 2.0),
-    tol=st.sampled_from([1e-6, 1e-8]),
-)
-def test_sweep_cli_off_p2_never_crashes(target, k, grid, p, tol):
+def _sweep_off_p2_is_the_library_report(target, k, grid, p, tol):
+    # exit 0 with the library's rows, or a one-line refusal with exit 1 or 2
     argv = _sweep_argv(target, grid, p=p, tol=tol, extra=(f"--k={k}",))
     code, out, err = _run_quiet(argv)
     assert code in (0, 1, 2), (code, err)
@@ -711,6 +702,36 @@ def test_sweep_cli_off_p2_never_crashes(target, k, grid, p, tol):
     rep = asymptotic_sweep(target, m_grid=grid, k=k, p=p, tol=tol)
     assert [(r["m"], r["measured"], r["predicted"]) for r in rows] == list(
         zip(rep.m_grid, rep.measured, rep.predicted))
+
+
+# off p = 2 a spline norm is one integral over one period, a few milliseconds,
+# so spline sweeps can run on every draw; the rows must be the library's report
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from(sorted(t for t in _SWEEP_TARGETS if constants._TARGETS[t].families == ("spline",))),
+    k=st.integers(0, 3),
+    grid=st.lists(st.integers(1, 40), min_size=2, max_size=3, unique=True),
+    p=st.floats(1.2, 4.0).filter(lambda p: p != 2.0),
+    tol=st.sampled_from([1e-6, 1e-8]),
+)
+def test_sweep_cli_off_p2_never_crashes(target, k, grid, p, tol):
+    _sweep_off_p2_is_the_library_report(target, k, grid, p, tol)
+
+
+# off p = 2 a Daubechies norm runs the quadrature with a certified tail, and
+# each order builds its tail certificate once (about 1 s cold), so the draws
+# keep to three orders and k <= 1, where every certified cutoff stays at or
+# below pi 2^17; the rows must be the library's report
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    target=st.sampled_from(sorted(t for t in _SWEEP_TARGETS if "daubechies" in constants._TARGETS[t].families)),
+    k=st.integers(0, 1),
+    grid=st.lists(st.sampled_from([4, 6, 8]), min_size=2, max_size=2, unique=True),
+    p=st.sampled_from([1.5, 2.5, 3.0, 4.0]),
+    tol=st.sampled_from([1e-4, 1e-5, 1e-6]),
+)
+def test_sweep_cli_daubechies_off_p2_never_crashes(target, k, grid, p, tol):
+    _sweep_off_p2_is_the_library_report(target, k, grid, p, tol)
 
 
 # both families and every kind, with p off 2 on most draws: each draw runs two

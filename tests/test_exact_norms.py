@@ -197,10 +197,11 @@ def test_daubechies_infinite_weights_are_refused():
 # the quadrature route against the exact values
 # ---------------------------------------------------------------------------
 
-# alpha = 1 at m <= 4 is left out: its quadrature takes about 25 s
+# alpha = 1 at m <= 4 is left out: at tol 1e-8 its cutoff passes the node budget
 _QUAD_AUDIT = [(part, m, a) for m in (3, 4, 6, 8, 12, 16)
                for part, a in (("psi", -m), ("psi", -1), ("psi", 0), ("phi", 0))]
 _QUAD_AUDIT += [(part, m, 1) for m in (6, 8, 12, 16) for part in ("phi", "psi")]
+_QUAD_AUDIT += [("phi", 2, 0)]
 
 
 def test_quadrature_route_within_its_certificate():

@@ -473,8 +473,9 @@ def test_daub_tail_bound_frozen(key):
 
 def _walk_before_hoelder(part, m, alpha, p, omega):
     """The tail walk as it was before the Hoelder octaves, as a scalar loop:
-    exact-mean octaves at p = 2 only, then sup octaves and the remainder;
-    None where the decay gate refuses."""
+    exact-mean octaves at p = 2 only, then sup octaves and the remainder,
+    floored at the smallest normal float like the walk itself; None where the
+    decay gate refuses."""
     from bernwave.norms import _TAIL_BLOCK, _daub_mean_table, _daub_tail_certificate
 
     cert = _daub_tail_certificate(m)
@@ -501,7 +502,8 @@ def _walk_before_hoelder(part, m, alpha, p, omega):
             - math.log(-(beta + 1.0))
         lp = -0.5 * p * math.log(2.0 * math.pi) + m * p * ln2 + 0.5 * p * log_pb + log_int
         sup.append(math.exp(lp) if lp < 700.0 else math.inf)
-    return scale * (sum(mean, 0.0) + (sum(sup, 0.0) + sum(sup[2 * r:], 0.0) * rho / (1.0 - rho)))
+    return max(scale * (sum(mean, 0.0) + (sum(sup, 0.0) + sum(sup[2 * r:], 0.0) * rho / (1.0 - rho))),
+               2.0 ** -1022)
 
 
 def test_daub_tail_bound_against_the_walk_before_hoelder():
@@ -626,14 +628,65 @@ def test_d4_weight_one_is_refused_at_p2():
 
 
 def test_over_budget_norm_refuses_before_quadrature():
-    # the tail puts the cutoff at pi 2^22: 2^24 panels, about 3.7e8 nodes
-    # against a budget of 8e7, refused before any evaluation on the window
+    # the tail puts the cutoff at pi 2^23: 2^22 panels of width 2 pi, about
+    # 9.2e7 nodes against a budget of 8e7, refused before any evaluation on
+    # the window
     import time
 
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="node budget"):
-        weighted_lp_norm("daubechies", "phi", 6, 1.0, 1.25, 1e-6)
+        weighted_lp_norm("daubechies", "phi", 6, 1.0, 1.2, 1e-6)
     assert time.perf_counter() - t0 < 20.0
+
+
+@pytest.mark.parametrize("part, m, alpha, lpow", [
+    ("psi", 10, -1.0, 6), ("psi", 12, 1.0, 11), ("phi", 10, 1.0, 11),
+])
+def test_quadrature_route_cutoffs_pinned(part, m, alpha, lpow):
+    # norms-lp queries at p = 1.5: the bootstrap that sets the tail target
+    # integrates the body first and deepens its head stack only relative to
+    # that body, and these cutoffs are where the tail walk then stops
+    r = weighted_lp_norm("daubechies", part, m, alpha, 1.5, 1e-6)
+    assert r.cutoff == math.pi * 2.0 ** lpow
+    assert r.certified_rel_error <= 1e-6
+
+
+@pytest.mark.parametrize("m, tols", [(2, (1e-2, 1e-3)), (3, (1e-4, 1e-6))])
+@pytest.mark.parametrize("part", ["phi", "psi"])
+@pytest.mark.parametrize("p", [1.25, 1.5])
+def test_quadrature_route_kinks_at_panel_edges(m, tols, part, p):
+    # |phihat|^p has zeros of fractional order mp at the nonzero multiples of
+    # 2 pi, and |psihat|^p at those of 4 pi: every one is an edge of the 2 pi
+    # panels.  The certified intervals at a loose and a tight tolerance must
+    # overlap.  The order-2 tails decay slowly: at p = 1.25 tol 1e-4 already
+    # needs a cutoff of pi 2^22 for psi (2^21 panels, about 13 s), and tol 1e-8
+    # is refused at both p, so that order runs 1e-2 and 1e-3
+    res = [weighted_lp_norm("daubechies", part, m, 0.0, p, tol) for tol in tols]
+    assert all(r.certified_rel_error <= tol for r, tol in zip(res, tols))
+    lo = max(r.value / (1.0 + r.certified_rel_error) for r in res)
+    hi = min(r.value / (1.0 - r.certified_rel_error) for r in res)
+    assert lo <= hi
+
+
+def test_quadrature_route_reaches_the_roadmap_query():
+    # weight +1 on the order-4 scaling function at p = 2: the tail needs a
+    # cutoff of pi 2^19, 2^18 panels of width 2 pi.  The exact route gives
+    # the reference
+    from bernwave.norms import _quadrature_norm
+
+    r = _quadrature_norm(WeightedNormQuery("daubechies", "phi", 4, 1.0, 2.0, 1e-6))
+    exact = weighted_lp_norm("daubechies", "phi", 4, 1.0, 2.0, 1e-6)
+    assert r.cutoff == math.pi * 2.0 ** 19
+    assert abs(r.value - exact.value) <= (r.certified_rel_error + exact.certified_rel_error) * exact.value
+
+
+def test_daub_tail_bound_is_positive_where_every_octave_underflows():
+    # every octave bound of this walk is below the float range; the walk is
+    # floored at the smallest normal float, since 0.0 bounds no positive mass
+    from bernwave.norms import _daub_tail_bound
+
+    got = _daub_tail_bound("psi", 5, -6.0, 6.0, math.pi * 2.0 ** 22)
+    assert got > 0.0 and got >= 2.0 ** -1022
 
 
 def test_slow_decay_norm_certifies_through_hoelder_octaves():
