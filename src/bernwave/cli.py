@@ -265,20 +265,20 @@ def _parse_criteria(text: str) -> List[str]:
         if tok.isdigit():
             idx = int(tok)
             if not 1 <= idx <= len(CRITERION_NAMES):
-                raise argparse.ArgumentTypeError(f"criterion index out of range: {tok}")
+                raise ValueError(f"criterion index out of range: {tok}")
             names.append(CRITERION_NAMES[idx - 1])
         elif tok in CRITERION_NAMES:
             names.append(tok)
         else:
-            raise argparse.ArgumentTypeError(f"unknown criterion: {tok!r}")
+            raise ValueError(f"unknown criterion: {tok!r}")
     if not names:
-        raise argparse.ArgumentTypeError("empty criterion list")
+        raise ValueError("empty criterion list")
     return names
 
 
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    names = args.criteria if args.criteria is not None else None
+    names = _parse_criteria(args.criteria) if args.criteria is not None else None
     results = run_all(names, progress=lambda res: print(res.line, file=sys.stderr, flush=True))
     rows = [
         {
@@ -385,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run the acceptance criteria; exit 0 only if all pass")
-    pv.add_argument("--criteria", type=_parse_criteria, default=None,
+    pv.add_argument("--criteria", default=None,
                     help="names or 1-based indices; 'all' includes the self-referential gate")
     pv.set_defaults(func=_cmd_verify)
 

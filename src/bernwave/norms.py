@@ -107,7 +107,7 @@ _LN_2PI = math.log(2.0 * math.pi)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 
-_EVAL_CHUNK = 1 << 22
+_EVAL_CHUNK = 1 << 22  # GL15 nodes per block of panels in _gl_on_panels
 # integrand evaluations one norm may spend; 22 per panel (GL15 + GL7)
 _NODE_BUDGET = 80_000_000
 _BUDGET_MESSAGE = "quadrature node budget exceeded; request a looser tolerance"
@@ -307,25 +307,23 @@ def _folded_integrand(q: WeightedNormQuery):
 # ---------------------------------------------------------------------------
 
 
-def _chunked(f, x):
-    if x.size <= _EVAL_CHUNK:
-        return f(x)
-    out = np.empty_like(x)
-    for i in range(0, x.size, _EVAL_CHUNK):
-        out[i : i + _EVAL_CHUNK] = f(x[i : i + _EVAL_CHUNK])
-    return out
-
-
 def _gl_on_panels(f, lo, hi):
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x15 = (mid[:, None] + half[:, None] * _X15[None, :]).ravel()
-    v15 = _chunked(f, x15).reshape(-1, 15)
-    i15 = (v15 @ _W15) * half
-    x7 = (mid[:, None] + half[:, None] * _X7[None, :]).ravel()
-    v7 = _chunked(f, x7).reshape(-1, 7)
-    i7 = (v7 @ _W7) * half
-    return i15, np.abs(i15 - i7)
+    """GL15 integrals of f on the panels [lo, hi] and their discrepancies from
+    GL7, streamed in blocks of panels with at most _EVAL_CHUNK GL15 nodes, so
+    that only one block's nodes and values are held at a time.  einsum sums
+    each panel's row on its own (a BLAS product rounds a row by its place in
+    the array), so the result does not depend on the blocks."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    i15, err = np.empty(lo.size), np.empty(lo.size)
+    step = max(1, _EVAL_CHUNK // 15)
+    for i in range(0, lo.size, step):
+        h, c = half[i:i + step], mid[i:i + step]
+        v15 = f((c[:, None] + h[:, None] * _X15[None, :]).ravel()).reshape(-1, 15)
+        s15 = np.einsum("ij,j->i", v15, _W15) * h
+        v7 = f((c[:, None] + h[:, None] * _X7[None, :]).ravel()).reshape(-1, 7)
+        i15[i:i + step] = s15
+        err[i:i + step] = np.abs(s15 - np.einsum("ij,j->i", v7, _W7) * h)
+    return i15, err
 
 
 def _composite_integrate(f, edges, rel_tol, node_budget=_NODE_BUDGET, abs_floor=0.0):
@@ -418,18 +416,29 @@ def _daub_tail_certificate(m: int) -> _DaubTailCertificate:
     pc = np.asarray(_daub._p_coeffs(m))
     n = 1 << _TAIL_GRID_POW
     delta = 2.0 * math.pi / n
-    nu = delta * np.arange(n)
-    y = np.square(np.sin(0.5 * nu))
-    b = np.full(n, pc[-1])
-    for c in pc[-2::-1]:
-        b = b * y + c
-    del y
-    idx = np.arange(n, dtype=np.int64)
+    # b_j = B(nu_j) on nu_j = j delta: sin^2 and Horner in place, 2^16 nodes
+    # (512 KiB) at a time so that every Horner pass runs in cache
+    b, step = np.empty(n), 1 << 16
+    for i in range(0, n, step):
+        y = np.arange(i, i + step, dtype=float)
+        y *= delta
+        y *= 0.5
+        np.sin(y, out=y)
+        np.square(y, out=y)
+        bi = b[i:i + step]
+        bi.fill(pc[-1])
+        for c in pc[-2::-1]:
+            bi *= y
+            bi += c
     cum = b.copy()
     log2_t = [0.0]
     for r in range(1, _TAIL_BLOCK + 1):
         if r > 1:
-            cum = cum * b[(idx * (1 << (r - 1))) & (n - 1)]
+            # B(2^{r-1} nu_j) = b[(j s) mod n], s = 2^{r-1}: the row b[::s]
+            # repeated s times, so cum is s rows, each times that row
+            s = 1 << (r - 1)
+            rows = cum.reshape(s, n // s)
+            np.multiply(rows, np.ascontiguousarray(b[::s]), out=rows)
         deg = (m - 1) * ((1 << r) - 1)
         inflate = 1.0 - 0.5 * deg * delta
         if inflate <= 0.5:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernwave import constants
+from bernwave.acceptance import CRITERION_NAMES
 from bernwave.cli import main
 from bernwave.norms import asymptotic_sweep
 from bernwave.tensor import tensor_limit
@@ -279,10 +280,9 @@ def test_verify_red_criterion_exits_one(capsys):
     assert "Lam2" in row["detail"]
 
 
-def test_verify_rejects_unknown_criterion():
-    with pytest.raises(SystemExit) as e:
-        main(["verify", "--criteria", "bogus"])
-    assert e.value.code == 2
+def test_verify_rejects_unknown_criterion(capsys):
+    err = _one_line_refusal(capsys, ["verify", "--criteria", "bogus"], 2)
+    assert err == "bernwave verify: unknown criterion: 'bogus'\n"
 
 
 def test_usage_errors_exit_two():
@@ -719,7 +719,7 @@ def test_sweep_cli_off_p2_never_crashes(target, k, grid, p, tol):
 
 
 # off p = 2 a Daubechies norm runs the quadrature with a certified tail, and
-# each order builds its tail certificate once (about 1 s cold), so the draws
+# each order builds its tail certificate once (about 0.2 s cold), so the draws
 # keep to three orders and k <= 1, where every certified cutoff stays at or
 # below pi 2^17; the rows must be the library's report
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -764,3 +764,35 @@ def test_tensor_cli_never_crashes(family, kind, m, k1, k2, p, tol):
     assert _finite_numbers(row)
     assert row["limit"] == tensor_limit(family, kind, k1, k2, p)
     assert row["value"] == row["axis1_ratio"] * row["axis2_ratio"]
+
+
+# verify runs the criteria themselves, so a valid draw asks for one to three of
+# criteria 1-8 (criterion 9 reruns them all in a subprocess), by name or by
+# 1-based index; an invalid draw slips in a bad token, or leaves the list empty
+_GOOD_CRITERIA = {**{str(i): n for i, n in enumerate(CRITERION_NAMES[:8], 1)},
+                  **{n: n for n in CRITERION_NAMES[:8]}}
+_VALID_CRITERIA = st.lists(st.sampled_from(sorted(_GOOD_CRITERIA)), min_size=1, max_size=3)
+_INVALID_CRITERIA = st.one_of(
+    st.builds(lambda toks, bad, where: toks[:where] + [bad] + toks[where:],
+              st.lists(st.sampled_from(sorted(_GOOD_CRITERIA)), max_size=2),
+              st.sampled_from(["0", "10", "bogus"]), st.integers(0, 2)),
+    st.sampled_from([[], [""], ["", ""]]),
+)
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(tokens=st.one_of(_VALID_CRITERIA, _INVALID_CRITERIA), sep=st.sampled_from([",", " ", ", "]))
+@example(tokens=["2", "wavelet-ratio-lower-bound", "8"], sep=",")
+def test_verify_cli_rows_follow_the_request(tokens, sep):
+    code, out, err = _run_quiet(["verify", "--criteria", sep.join(tokens)])
+    if not tokens or not all(t in _GOOD_CRITERIA for t in tokens):
+        assert code == 2, (tokens, err)
+        assert out == ""
+        assert err.startswith("bernwave verify: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert code in (0, 1), (tokens, err)
+    rows = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert [r["name"] for r in rows] == [_GOOD_CRITERIA[t] for t in tokens]
+    assert code == (0 if all(r["passed"] for r in rows) else 1)
+    assert err.count("\n") == len(tokens)  # one progress line per criterion

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bernwave.constants import favard, spline_bernstein_constant, spline_wavelet_lower_bound
-from bernwave.daubechies import daub_phi_hat_magnitude, daub_psi_hat_magnitude
+from bernwave.daubechies import MASK_ORDER_LIMIT, daub_phi_hat_magnitude, daub_psi_hat_magnitude
 from bernwave.norms import (
     WeightedNormQuery,
     _composite_integrate,
@@ -424,6 +424,203 @@ def test_daub_tail_certificate_sigma():
     assert cert.log2_t[0] == 0.0
 
 
+# _daub_tail_certificate(m) for every order m <= MASK_ORDER_LIMIT, bit for
+# bit: log2_t, bmax, log_e and sigma as float.hex, and a SHA-256 of
+# log_sup.tobytes(), recorded from the gather-based build
+DAUB_TAIL_CERTIFICATE_FROZEN = {
+    1: (
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0"),
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+1",
+        "46320d3181f7095d77f31e79c87ba0f20a79b9322791a72695d5f81c5c4803df"),
+    2: (
+        ("0x0.0p+0", "0x1.95c02c5b1f4cdp+0", "0x1.5943500a260acp+1",
+         "0x1.05230df07a00bp+2", "0x1.5772b967872efp+2", "0x1.ad16d22226a9bp+2",
+         "0x1.00938e1dbb032p+3", "0x1.2b033b2785ebbp+3", "0x1.55407749d69dfp+3",
+         "0x1.7f987c072b5dcp+3", "0x1.a9e5fbc9d2271p+3", "0x1.d43e6ce695a02p+3",
+         "0x1.fe9cc2a64f79fp+3"),
+        "0x1.8000000000000p+1", "0x1.0c805c37f2295p+0", "0x1.55cbbf1de5820p+1",
+        "792ca73deb5edd71db1f545e90eb9edef731d9490b314eff8e825223be7b10c4"),
+    3: (
+        ("0x0.0p+0", "0x1.a93502b8be1f5p+1", "0x1.64e3853d960fep+2",
+         "0x1.0e23e7a61e207p+3", "0x1.62d8a201aadfcp+3", "0x1.bb4f6ee316e4cp+3",
+         "0x1.08ff46241eda6p+4", "0x1.34cba0682189ep+4", "0x1.605efcf917dedp+4",
+         "0x1.8c106da9148dfp+4", "0x1.b7b5b56434e71p+4", "0x1.e366c32f50938p+4",
+         "0x1.078eaac8ffcbbp+5"),
+        "0x1.4000000000000p+3", "0x1.fd9767767cb03p+0", "0x1.a0971c49559b1p+1",
+        "6595ef996d1ee731506937cfcaf2e826989113547f00e02e53cfc7510c959ec4"),
+    4: (
+        ("0x0.0p+0", "0x1.484639df48808p+2", "0x1.115c17499cf2fp+3",
+         "0x1.9e02245bdc8b9p+3", "0x1.0fbabbfb23ecbp+4", "0x1.537738109e14ep+4",
+         "0x1.95c6b6951aea8p+4", "0x1.d8d14a276d3c9p+4", "0x1.0dc0419aebf3dp+5",
+         "0x1.2f2fe727a7d4dp+5", "0x1.5095b21ae3358p+5", "0x1.7204b15e58e45p+5",
+         "0x1.9377aae34e9e8p+5"),
+        "0x1.1800000000000p+5", "0x1.74429f930f6e8p+1", "0x1.e60b1c2641d76p+1",
+        "35d7aa56bc659d07937612921424ffd61539e2b157f33db96a83dda76a32126c"),
+    5: (
+        ("0x0.0p+0", "0x1.be8bd338c2d8bp+2", "0x1.71f034c947fdap+3",
+         "0x1.1836f3506e815p+4", "0x1.6fae56124e83dp+4", "0x1.cb54ebaae6695p+4",
+         "0x1.128038e0cd817p+5", "0x1.3fd7ef10c0a76p+5", "0x1.6cf02a36aee1ep+5",
+         "0x1.9a29bdaaec8dfp+5", "0x1.c75588a72efccp+5", "0x1.f48dee0e1f28dp+5",
+         "0x1.10e5bfe0b3d3ep+6"),
+        "0x1.f800000000000p+6", "0x1.e8a7106739a1ap+1", "0x1.14230029bae58p+2",
+        "3f4e706914344cb128f60514a2bd5f671f04bd1d094dfc59496c11c8be03544d"),
+    6: (
+        ("0x0.0p+0", "0x1.1b41928960474p+3", "0x1.d3a1d9f01785ep+3",
+         "0x1.62471a70f9277p+4", "0x1.d0bd4c0fb9b3cp+4", "0x1.224a64304817dp+5",
+         "0x1.5af0415790251p+5", "0x1.943d27a8af5bfp+5", "0x1.cd387002da915p+5",
+         "0x1.032f457c6bd68p+6", "0x1.1fb96d36e1ad9p+6", "0x1.3c4b9b3240819p+6",
+         "0x1.58e0f73bb9397p+6"),
+        "0x1.ce00000000000p+8", "0x1.2e4dd53c27342p+2", "0x1.34296105b3b37p+2",
+        "ad01cc0f2242de183f44e32349d5dfd2ab9292216809249688a5a4ab3d698151"),
+    7: (
+        ("0x0.0p+0", "0x1.57d5bb5e7cbc8p+3", "0x1.1b10b8aa64495p+4",
+         "0x1.acf42a79a6bc5p+4", "0x1.194c936107365p+5", "0x1.5f6a67d82fefep+5",
+         "0x1.a3f942fc43205p+5", "0x1.e954a0312c28ep+5", "0x1.1726060aa6455p+6",
+         "0x1.39bbeeb75383ep+6", "0x1.5c46ea16f99f6p+6", "0x1.7edba87a93e74p+6",
+         "0x1.a1742d6348396p+6"),
+        "0x1.ad00000000000p+10", "0x1.682fc3c51c548p+2", "0x1.536518d0f508ep+2",
+        "959aa9e460bae671fe0ad1339ea3c2a9057dd26238a321a02e4893b78fe3530b"),
+    8: (
+        ("0x0.0p+0", "0x1.94dafd0fc7decp+3", "0x1.4c9e990284d18p+4",
+         "0x1.f817dda96e9d3p+4", "0x1.4a885631c911cp+5", "0x1.9cebc079840a9p+5",
+         "0x1.ed76a8acd15f2p+5", "0x1.1f79e324a96a6p+6", "0x1.47fd4158c6177p+6",
+         "0x1.709fa2eb6c532p+6", "0x1.99350c59caa92p+6", "0x1.c1d5f76a86aa7p+6",
+         "0x1.ea7b43c514ff3p+6"),
+        "0x1.9230000000000p+12", "0x1.a206b765a24b7p+2", "0x1.7206504e8eabcp+2",
+        "9e1bb1311d45f2024375275162fccee590561e92664abf3891c8aa13f18ea609"),
+    9: (
+        ("0x0.0p+0", "0x1.d23777a4c741ap+3", "0x1.7e69e17b2c78bp+4",
+         "0x1.21cc51968f9a9p+5", "0x1.7c0167bc86e15p+5", "0x1.dab9c67250e05p+5",
+         "0x1.1ba7eba2aaef5p+6", "0x1.4a7ef9f29c2d0p+6", "0x1.79119730822d0p+6",
+         "0x1.a7c80cd3b9cfap+6", "0x1.d66f7d4c02ee1p+6", "0x1.0292180df0ecdp+7",
+         "0x1.19eef04328682p+7"),
+        "0x1.7bd8000000000p+14", "0x1.dbd89fc340259p+2", "0x1.902d7f4ce9950p+2",
+        "7bf2a3186d25ec132a2d9e164caac7a8a8a948dbfefcaa73fe69473ea679eb19"),
+    10: (
+        ("0x0.0p+0", "0x1.07eca1b8a3504p+4", "0x1.b066d22e54000p+4",
+         "0x1.47b24157e2bdfp+5", "0x1.adac1cacde9fap+5", "0x1.0c62f19788dbep+6",
+         "0x1.40b9b430d5261p+6", "0x1.75af72524c7aap+6", "0x1.aa5779e17e3c0p+6",
+         "0x1.df2831662efadp+6", "0x1.09f3eade41d67p+7", "0x1.245b3f1535a8bp+7",
+         "0x1.3ec5611f08b15p+7"),
+        "0x1.68da000000000p+16", "0x1.0ad417ac359c6p+3", "0x1.adf1a7ad3e272p+2",
+        "64b6178ea9ffde355dfc40a49bfe573675765dfad69c5c6cd3e12eecff2c0bc7"),
+    11: (
+        ("0x0.0p+0", "0x1.26d9bc84f1130p+4", "0x1.e28ccef10aa6ep+4",
+         "0x1.6db72c6a5b5c9p+5", "0x1.df7fe429522f9p+5", "0x1.2b82b061132c2p+6",
+         "0x1.65ea491213186p+6", "0x1.a103d8ebe09e5p+6", "0x1.dbc669d31d746p+6",
+         "0x1.0b5b41e76cf6dp+7", "0x1.28c9bde1b50c3p+7", "0x1.46409d38d2bffp+7",
+         "0x1.63ba99ff4ea04p+7"),
+        "0x1.5873000000000p+18", "0x1.27bb5269723b2p+3", "0x1.cb63baac83aa0p+2",
+        "867ad825e1593a8278d2c98ffe39bc36786f05b07a4915fbd5d2b8654fed45ef"),
+    12: (
+        ("0x0.0p+0", "0x1.45de3e83cf38cp+4", "0x1.0a6aaabb7a3e2p+5",
+         "0x1.93d61e25ab6f8p+5", "0x1.08bb210543c3ep+6", "0x1.4ab8117e03186p+6",
+         "0x1.8b34d1a810e1fp+6", "0x1.cc7687bfd53fcp+6", "0x1.06abfa84e15a5p+7",
+         "0x1.2735e2a618e8fp+7", "0x1.47b5325f74b0cp+7", "0x1.683dc6b819d11p+7",
+         "0x1.88c9c93603319p+7"),
+        "0x1.4a18e00000000p+20", "0x1.44a24a73c6822p+3", "0x1.e890921aa2268p+2",
+        "08109ba3a9efd6965d4d61e6ba57d5f44338611576baf4adc52cd85803b65b6b"),
+    13: (
+        ("0x0.0p+0", "0x1.64f67b84a4d62p+4", "0x1.239dacd668edap+5",
+         "0x1.ba0b40ab9ccbap+5", "0x1.21c516b4346e1p+6", "0x1.69ffeee072a68p+6",
+         "0x1.b09589dcbd369p+6", "0x1.f8031ad470739p+6", "0x1.1f838c4942946p+7",
+         "0x1.432129c0a0bc7p+7", "0x1.66b32740bc68bp+7", "0x1.8a4f4ba70fff9p+7",
+         "0x1.adef30b235d8dp+7"),
+        "0x1.3d66b00000000p+22", "0x1.618922c6d6ab8p+3", "0x1.02c11467b8344p+3",
+        "70ed5c3ee6fc5e1a2f7e62e5013c48d69dfb485bde7a51d93c377b5e916620ea"),
+    14: (
+        ("0x0.0p+0", "0x1.841f9492eee84p+4", "0x1.3cdd6e2781208p+5",
+         "0x1.e0538bbd185f9p+5", "0x1.3adbd43628d5bp+6", "0x1.8957c96efe696p+6",
+         "0x1.d60974c093be1p+6", "0x1.11d30b141ba58p+7", "0x1.3867ecf94cba5p+7",
+         "0x1.5f1ada96496e8p+7", "0x1.85c120d540c69p+7", "0x1.ac72703646717p+7",
+         "0x1.d327d176c4817p+7"),
+        "0x1.3210bc0000000p+24", "0x1.7e6febf3858e4p+3", "0x1.11203e0c4f536p+3",
+        "73df305e54e8b0e4def4eb3dca8da1042d4a91d61f6d74cd911f74d970eb00c0"),
+    15: (
+        ("0x0.0p+0", "0x1.a3574046196dep+4", "0x1.562852352036bp+5",
+         "0x1.03564744b5c32p+6", "0x1.53fdbd44691cep+6", "0x1.a8bd9d69e9adcp+6",
+         "0x1.fb8e28a52d951p+6", "0x1.27ae54a817f20p+7", "0x1.51578132a4154p+7",
+         "0x1.7b21267f5104bp+7", "0x1.a4dd1d1e0bb7dp+7", "0x1.cea4ff5124d71p+7",
+         "0x1.f871494f0f6f9p+7"),
+        "0x1.27dcfa0000000p+26", "0x1.9b56addc8fb47p+3", "0x1.1f68f3969615ep+3",
+        "0061f108e00f670a763f83abd9d82b44f9073208fac75ac059c420ed7b0baab9"),
+    16: (
+        ("0x0.0p+0", "0x1.c29ba4c1dda1dp+4", "0x1.6f7d0759a8048p+5",
+         "0x1.168a252b86997p+6", "0x1.6d29801eefcefp+6", "0x1.c82fc4463c5d8p+6",
+         "0x1.1090d59a73f4dp+7", "0x1.3d9242d1fe5a8p+7", "0x1.6a50f7967bf59p+7",
+         "0x1.97329204cb35cp+7", "0x1.c405769ea166ap+7", "0x1.f0e529587a4aap+7",
+         "0x1.0ee4cbb18abbcp+8"),
+        "0x1.1e9e123000000p+28", "0x1.b83d6c470e18ep+3", "0x1.2d9de0d138b60p+3",
+        "166e8785dccb00498a31fff7a50c61a17719465d9bc5b5217d1f472f93813fd2"),
+    17: (
+        ("0x0.0p+0", "0x1.e1eb3d0ff0959p+4", "0x1.88da7583a8368p+5",
+         "0x1.29c48c0a35297p+6", "0x1.865e046d7619fp+6", "0x1.e7acdf45dc99bp+6",
+         "0x1.23612bf7dc5a6p+7", "0x1.537de0445980ep+7", "0x1.835337e49f1fbp+7",
+         "0x1.b34de1df58addp+7", "0x1.e338cf22f6287p+7", "0x1.0998b6784cd13p+8",
+         "0x1.21978f91142e8p+8"),
+        "0x1.1630029800000p+30", "0x1.d52429020ee46p+3", "0x1.3bc12bd274d96p+3",
+        "0c16178c7567114d5548499bc95a1a77f5a9c98610b26e8c2beede937f84c354"),
+    18: (
+        ("0x0.0p+0", "0x1.00a262fe2fc29p+5", "0x1.a23fb1b17aa55p+5",
+         "0x1.3d04ca9853308p+6", "0x1.9f9a5ecf2e5e7p+6", "0x1.0399e3f555501p+7",
+         "0x1.363766cee265ap+7", "0x1.69705eeb25039p+7", "0x1.9c5d569972d99p+7",
+         "0x1.cf720d1b8a1cap+7", "0x1.013b0008cf557p+8", "0x1.1ac44376abae3p+8",
+         "0x1.34503c523a595p+8"),
+        "0x1.0e75c9a200000p+32", "0x1.f20ae4ec6e50fp+3", "0x1.49d4b47a0f11ep+3",
+        "fd038428df4af9eb1515e06ac3ff2a105ba90ba0f95ff231b0691462ea8324fe"),
+    19: (
+        ("0x0.0p+0", "0x1.10539806847fap+5", "0x1.bbabf4ac71914p+5",
+         "0x1.504a4ab8ead6cp+6", "0x1.b8ddc7a265422p+6", "0x1.1361c236f7adbp+7",
+         "0x1.4912f045f4511p+7", "0x1.7f690fe7e57e7p+7", "0x1.b56e8bd888224p+7",
+         "0x1.eb9e32e1113d4p+7", "0x1.10de07e58e145p+8", "0x1.2bf4b20979ecbp+8",
+         "0x1.470e3d9b65f4bp+8"),
+        "0x1.0757bd9700000p+34", "0x1.0778d038dbd34p+4", "0x1.57da06619ac8ep+3",
+        "b5bcebdb0ed5c30bcb0e0388f3b55abdfb3e3fe33f8ab9a30791554fcfb4ed8e"),
+    20: (
+        ("0x0.0p+0", "0x1.2008ca837638fp+5", "0x1.d51e940c3f310p+5",
+         "0x1.63948c25ce061p+6", "0x1.d227940f832d1p+6", "0x1.232d9f86dd8c9p+7",
+         "0x1.5bf3481368b27p+7", "0x1.95675d7fe55a4p+7", "0x1.ce862c7e7ecb0p+7",
+         "0x1.03e8c94c7affep+8", "0x1.208513fdedeccp+8", "0x1.3d298c344b507p+8",
+         "0x1.59d1138f84401p+8"),
+        "0x1.00c258d9a0000p+36", "0x1.15ec2de2f7a13p+4", "0x1.65d2768149ffep+3",
+        "c6a717bb0e38cd8fa0dffdb98f561b9002ad9bd17db2427e1919c5947a600815"),
+}
+
+
+@pytest.mark.parametrize("m", range(1, MASK_ORDER_LIMIT + 1))
+def test_daub_tail_certificate_frozen_bit_for_bit(m):
+    import hashlib
+
+    from bernwave.norms import _daub_tail_certificate
+
+    log2_t, bmax, log_e, sigma, digest = DAUB_TAIL_CERTIFICATE_FROZEN[m]
+    cert = _daub_tail_certificate(m)
+    assert tuple(x.hex() for x in cert.log2_t) == log2_t
+    assert (cert.bmax.hex(), cert.log_e.hex(), cert.sigma.hex()) == (bmax, log_e, sigma)
+    assert hashlib.sha256(cert.log_sup.tobytes()).hexdigest() == digest
+
+
+def test_daub_tail_certificate_memory_peak():
+    # one cold build holds at most three float64 arrays of the 2^22-point grid
+    # (numpy reports its buffers to tracemalloc, so this does not depend on timing)
+    import tracemalloc
+
+    from bernwave.norms import _TAIL_GRID_POW, _daub_tail_certificate
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _daub_tail_certificate.__wrapped__(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 2 ** _TAIL_GRID_POW
+
+
 def test_daub_mean_table_exact_small_orders():
     # transfer-operator octave means of the order-4 symbol product are
     # exact dyadic rationals at small depth
@@ -507,16 +704,16 @@ def _walk_before_hoelder(part, m, alpha, p, omega):
 
 
 def test_daub_tail_bound_against_the_walk_before_hoelder():
-    # a seeded sample of the grid m <= 20 (five orders, so that the cold
-    # certificates stay cheap), both parts, alpha in Z/2, cutoffs pi 2^6 ..
-    # pi 2^24: p = 2 is unchanged to the last bit, the Hoelder octaves never
-    # raise a bound at any other p, and the gate refuses exactly where it did,
-    # with the same message
+    # a seeded sample of the grid m <= 20 (every order), both parts, alpha in
+    # Z/2, cutoffs pi 2^6 .. pi 2^24: p = 2 is unchanged to the last bit, the
+    # Hoelder octaves never raise a bound at any other p, and the gate refuses
+    # exactly where it did, with the same message
     from bernwave.norms import _daub_tail_bound
 
     rng = np.random.default_rng(17)
     points = [(part, m, a / 2.0, p, lpow)
-              for m in (1, 2, 4, 6, 10) for part in ("phi", "psi") for p in (1.25, 1.5, 2.0, 3.0, 6.0)
+              for m in range(1, MASK_ORDER_LIMIT + 1) for part in ("phi", "psi")
+              for p in (1.25, 1.5, 2.0, 3.0, 6.0)
               for a in range(-2 * (m if part == "psi" else 0) - 2, 2 * m + 1) for lpow in range(6, 25)]
     lower = refused = 0
     for i in rng.choice(len(points), 2000, replace=False):
@@ -535,6 +732,21 @@ def test_daub_tail_bound_against_the_walk_before_hoelder():
             assert got <= want, points[i]
             lower += got < want
     assert refused > 0 and lower > 0
+
+
+def test_composite_integrate_streams_panels_in_blocks(monkeypatch):
+    # _EVAL_CHUNK = 30 sends 2 panels (30 GL15 nodes) through the rules at a
+    # time: the same triple as one block per round, on 4 panels that refine
+    # to 12 over the rounds
+    from bernwave import norms
+
+    f, period = _folded_integrand(WeightedNormQuery("spline", "phi", 2, 0.0, 1.25, 1e-12))
+    edges = np.linspace(period / 64.0, period, 5)
+    want = _composite_integrate(f, edges, 1e-13)
+    monkeypatch.setattr(norms, "_EVAL_CHUNK", 30)
+    sizes = []
+    assert _composite_integrate(lambda x: sizes.append(x.size) or f(x), edges, 1e-13) == want
+    assert want[2] == 12 and max(sizes) == 30
 
 
 @pytest.mark.parametrize("part, m, alpha, p", [
