@@ -65,7 +65,10 @@ certified_rel_error of a few units in the last place.
 The Bernstein side (spline expansions, Fejer profiles) needs no engine: its
 norms are 2^14-point trapezoid sums of |chat|^p against a periodized weight,
 all even about theta = pi, so each runs on the half grid theta in [0, pi]
-against one cached kernel of trapezoid weights.
+against a cached kernel of trapezoid weights, whose lattice sum is cached
+once per exponent s = (m - k) p.  A single vector's symbol is one real FFT;
+the seeded scan takes its 500 symbols block by block from a cached cos/sin
+basis, so that it never holds the whole grid for every vector.
 """
 
 from __future__ import annotations
@@ -1029,6 +1032,38 @@ _N_GRID = 1 << 14  # points of the Bernstein side's 2 pi-periodic trapezoid rule
 # the seeded scan: random vectors of 1.._SCAN_MAX_LEN coefficients, every (m, k < m, h, p)
 _SCAN_VECTORS, _SCAN_MAX_LEN = 500, 8
 _SCAN_ORDERS, _SCAN_STEPS, _SCAN_POWERS = (2, 3, 4, 5, 6), (1, 2), (1.5, 2.0, 3.0)
+# half-grid points per block of the scan's pass: a block's 500-row arrays
+# (256 KiB each) stay in a core's L2 cache
+_SCAN_BLOCK = 64
+
+
+@lru_cache(maxsize=1)
+def _half_grid():
+    """theta_g = 2 pi g / N and S_g = 2 sin(theta_g / 2) on the half grid
+    g = 0..N/2, N = _N_GRID, as read-only arrays."""
+    theta = 2.0 * math.pi * np.arange(_N_GRID // 2 + 1) / _N_GRID
+    sin2 = 2.0 * np.sin(0.5 * theta)
+    theta.flags.writeable = sin2.flags.writeable = False
+    return theta, sin2
+
+
+@lru_cache(maxsize=512)
+def _lattice(s: float):
+    """sum_l (S / |theta + 2 pi l|)^s on the half grid, s > 1: the l = 0 and
+    l = -1 terms plus two Hurwitz zeta values.  Every base is at most 1, so
+    nothing overflows at high order.  Entry 0 (theta = 0) is nan.  It
+    depends on s alone, so every kernel with the same (m - k) p shares one
+    read-only array."""
+    theta, sin2 = _half_grid()
+    r = theta / (2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lattice = (
+            (sin2 / theta) ** s
+            + (sin2 / (2.0 * math.pi - theta)) ** s
+            + (sin2 / (2.0 * math.pi)) ** s * (_zeta(s, 1.0 + r) + _zeta(s, 2.0 - r))
+        )
+    lattice.flags.writeable = False
+    return lattice
 
 
 @lru_cache(maxsize=512)
@@ -1041,23 +1076,13 @@ def _half_grid_kernel(m: int, k: int, p: float):
     sin(theta/2) keeps its relative accuracy.  With S = 2 sin(theta/2) and
     s = (m - k) p the lattice sum is
         (2 pi)^{-p/2} S^{kp} sum_l (S / |theta + 2 pi l|)^s,
-    which collapses to the l = 0 and l = -1 terms plus two Hurwitz zeta
-    values; every base is at most 1, so nothing overflows at high order.
-    s must exceed 1."""
+    whose last factor is the cached _lattice(s), shared by every (m, k, p)
+    with the same s.  s must exceed 1."""
     s = (m - k) * p
     if s <= 1.0:
         raise ValueError("periodized kernel needs (m - k) * p > 1")
     half = _N_GRID // 2
-    theta = 2.0 * math.pi * np.arange(half + 1) / _N_GRID
-    r = theta / (2.0 * math.pi)
-    sin2 = 2.0 * np.sin(0.5 * theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lattice = (
-            (sin2 / theta) ** s
-            + (sin2 / (2.0 * math.pi - theta)) ** s
-            + (sin2 / (2.0 * math.pi)) ** s * (_zeta(s, 1.0 + r) + _zeta(s, 2.0 - r))
-        )
-        g = (2.0 * math.pi) ** (-0.5 * p) * sin2 ** (k * p) * lattice
+    g = (2.0 * math.pi) ** (-0.5 * p) * _half_grid()[1] ** (k * p) * _lattice(s)
     g[0] = (2.0 * math.pi) ** (-0.5 * p) if k == 0 else 0.0
     g[1:half] *= 2.0
     return g * (2.0 * math.pi / _N_GRID)
@@ -1075,6 +1100,11 @@ def _symbol_abs_sq(c):
         )
     f = np.fft.rfft(c, n=_N_GRID)
     return f.real ** 2 + f.imag ** 2
+
+
+def _check_slack(slack: float) -> None:
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack!r}")
 
 
 def verify_bernstein_spline(
@@ -1095,8 +1125,7 @@ def verify_bernstein_spline(
         raise ValueError("need 1 <= k < m")
     if not (isinstance(h, (int, np.integer)) and h >= 1):
         raise ValueError("h must be a positive integer")
-    if not math.isfinite(slack):
-        raise ValueError(f"slack must be finite, got {slack!r}")
+    _check_slack(slack)
     bound = spline_bernstein_constant(m, k, h, p)
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -1121,6 +1150,19 @@ def verify_bernstein_spline(
     return BernsteinCheckResult(m, k, int(h), p, lhs, rhs, ratio, ok)
 
 
+@lru_cache(maxsize=1)
+def _scan_basis():
+    """cos(j theta_g) and sin(j theta_g) for j < _SCAN_MAX_LEN on the half
+    grid, so that chat(theta_g) = c @ cos - i c @ sin for a row c of at most
+    _SCAN_MAX_LEN coefficients.  Each phase is built from the exact index
+    (j g) mod N, and the two read-only arrays hold about 1 MB."""
+    jg = np.outer(np.arange(_SCAN_MAX_LEN), np.arange(_N_GRID // 2 + 1)) % _N_GRID
+    phase = (2.0 * math.pi / _N_GRID) * jg
+    cos, sin = np.cos(phase), np.sin(phase)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
 def bernstein_violation_scan(seed: int = 20260819, slack: float = 1e-6):
     """Drive the inequality check over _SCAN_VECTORS seeded random
     coefficient vectors and every (m, k < m, h, p) of the scan's axes.
@@ -1129,22 +1171,39 @@ def bernstein_violation_scan(seed: int = 20260819, slack: float = 1e-6):
 
     lhs/rhs does not depend on h on the 1/h-step grid, so the h axis
     repeats the h = 1 comparison: each h is counted in n_checks and
-    reported with its violations, but adds no coverage."""
+    reported with its violations, but adds no coverage.
+
+    All norms come from one pass over blocks of _SCAN_BLOCK half-grid
+    points: per block, |chat|^2 of every vector from the cached cos/sin
+    basis (_scan_basis), then for each p its power against that block of
+    every (m, k) kernel, added to a vectors x kernels sum.  No array spans
+    the whole grid for all vectors at once."""
+    _check_slack(slack)
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((_SCAN_VECTORS, _SCAN_MAX_LEN))
     for row in coeffs:
         ln = int(rng.integers(1, _SCAN_MAX_LEN + 1))
         row[:ln] = rng.uniform(-1.0, 1.0, size=ln)
-    abs_sq = _symbol_abs_sq(coeffs)
     cols = [(m, k) for m in _SCAN_ORDERS for k in range(m)]
+    kernels = [np.stack([_half_grid_kernel(m, k, p) for m, k in cols], axis=1) for p in _SCAN_POWERS]
+    sums = np.zeros((len(_SCAN_POWERS), _SCAN_VECTORS, len(cols)))
+    cos, sin = _scan_basis()
+    for g0 in range(0, cos.shape[1], _SCAN_BLOCK):
+        block = slice(g0, g0 + _SCAN_BLOCK)
+        abs_sq = coeffs @ cos[:, block]
+        abs_sq *= abs_sq
+        im = coeffs @ sin[:, block]
+        im *= im
+        abs_sq += im
+        for acc, p, kernel in zip(sums, _SCAN_POWERS, kernels):
+            acc += abs_sq ** (0.5 * p) @ kernel[block]
     violations = []
     n_checks = 0
-    for p in _SCAN_POWERS:
-        kernels = np.stack([_half_grid_kernel(m, k, p) for m, k in cols], axis=1)
-        sums = dict(zip(cols, (abs_sq ** (0.5 * p) @ kernels).T))
+    for p, acc in zip(_SCAN_POWERS, sums):
+        by_col = dict(zip(cols, acc.T))
         for m in _SCAN_ORDERS:
             for k in range(1, m):
-                ratio = (sums[m, k] / sums[m, 0]) ** (1.0 / p)
+                ratio = (by_col[m, k] / by_col[m, 0]) ** (1.0 / p)
                 rel = ratio / spline_bernstein_constant(m, k, 1, p)
                 bad = np.nonzero(rel > 1.0 + slack)[0]
                 for h in _SCAN_STEPS:

@@ -218,6 +218,72 @@ def test_violation_scan_worst_ratio_frozen():
     assert max(v[5] for v in everything) == pytest.approx(0.9205154970828258, rel=1e-12)
 
 
+def _scan_before_basis(seed=20260819, slack=1e-6):
+    """The violation scan as it was before the blocked basis pass: one
+    zero-padded real FFT of every vector, then each p's power of the whole
+    500 x (N/2 + 1) array against the stacked kernels."""
+    from bernwave.norms import _SCAN_MAX_LEN, _SCAN_ORDERS, _SCAN_POWERS, _SCAN_STEPS, _SCAN_VECTORS
+
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((_SCAN_VECTORS, _SCAN_MAX_LEN))
+    for row in coeffs:
+        ln = int(rng.integers(1, _SCAN_MAX_LEN + 1))
+        row[:ln] = rng.uniform(-1.0, 1.0, size=ln)
+    abs_sq = _symbol_abs_sq(coeffs)
+    cols = [(m, k) for m in _SCAN_ORDERS for k in range(m)]
+    violations = []
+    n_checks = 0
+    for p in _SCAN_POWERS:
+        kernels = np.stack([_half_grid_kernel(m, k, p) for m, k in cols], axis=1)
+        sums = dict(zip(cols, (abs_sq ** (0.5 * p) @ kernels).T))
+        for m in _SCAN_ORDERS:
+            for k in range(1, m):
+                ratio = (sums[m, k] / sums[m, 0]) ** (1.0 / p)
+                rel = ratio / spline_bernstein_constant(m, k, 1, p)
+                bad = np.nonzero(rel > 1.0 + slack)[0]
+                for h in _SCAN_STEPS:
+                    n_checks += ratio.size
+                    violations.extend((m, k, h, p, int(i), float(rel[i])) for i in bad)
+    return n_checks, violations
+
+
+@pytest.mark.parametrize("seed", [20260819, 1, 2, 3])
+def test_violation_scan_against_the_scan_before_basis(seed):
+    # the basis pass sums the same terms in another order, so at the default
+    # slack the verdicts are equal, and every one of the 45,000 ratios agrees
+    # to a few units in the last place
+    assert bernstein_violation_scan(seed) == _scan_before_basis(seed)
+    n_checks, got = bernstein_violation_scan(seed, slack=-1.0)
+    want = _scan_before_basis(seed, slack=-1.0)[1]
+    assert n_checks == len(got) == len(want) == 45000
+    for g, w in zip(got, want):
+        assert g[:5] == w[:5]
+        assert g[5] == pytest.approx(w[5], rel=1e-13), g
+
+
+def test_violation_scan_memory_peak():
+    # one warm scan allocates nothing of size 500 x (N/2 + 1); the FFT scan
+    # peaked at 125 MiB (numpy reports its buffers to tracemalloc)
+    import tracemalloc
+
+    bernstein_violation_scan()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bernstein_violation_scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+def test_violation_scan_refuses_non_finite_slack(slack):
+    # a nan slack compares false everywhere and would report no violation
+    with pytest.raises(ValueError, match="slack must be finite"):
+        bernstein_violation_scan(slack=slack)
+
+
 def test_coeff_symbol_equals_explicit_sum():
     # |sum_j c_j e^{-i j theta}|^2 on the half grid theta_g = 2 pi g / N
     theta = 2.0 * math.pi * np.arange(_N_GRID // 2 + 1) / _N_GRID
@@ -982,11 +1048,16 @@ def test_composite_integrate_checks_error_when_the_sum_cancels():
 
 
 def test_kernel_caches_are_bounded():
+    from bernwave.norms import _lattice
+
     _half_grid_kernel.cache_clear()
+    _lattice.cache_clear()
     for i in range(600):
         _half_grid_kernel(3, 1, 1.5 + i / 1024.0)
     assert _half_grid_kernel.cache_info().currsize <= 512
+    assert _lattice.cache_info().currsize <= 512
     _half_grid_kernel.cache_clear()
+    _lattice.cache_clear()
 
 
 def _lattice_weight_mpmath(m, k, p, g):
@@ -1013,6 +1084,49 @@ def test_half_grid_kernel_matches_lattice_sum(m, k, p):
     w = _half_grid_kernel(m, k, p)
     for g in (1, 2, 5, 100, _N_GRID // 2):
         assert w[g] == pytest.approx(_lattice_weight_mpmath(m, k, p, g), rel=1e-13), g
+
+
+# SHA-256 over _half_grid_kernel(m, k, p).tobytes() for every k < m with
+# (m - k) p > 1, in increasing k, recorded when each kernel built its own
+# lattice (before the per-s lattice cache)
+HALF_GRID_KERNEL_FROZEN = {
+    (2, 1.25): "c93a96cb184bde0f5bb8b23f59209e19de50fb120216fea232fbf2bc4a984870",
+    (2, 1.5): "d86a7fd6fb5a3fa98c63ef711427315de02a941ed4b1db6ed7a3c0c492a645c9",
+    (2, 2.0): "3de230ba3a985bc9af5f555a510f2abadc95895017473c1c6b3e633d100748eb",
+    (2, 3.0): "d83f86b5ad5166120babb851f98978de80202cf7c06c81c5b1581f73384a1356",
+    (2, 6.0): "17173d09f2c7a144030533438ceb561686580c4a528ac1ee2804094ca80f20c9",
+    (3, 1.25): "4636a43278e5bdab9fc4ae23a2fd9c2ba33821288861058c5d341e88cf831b54",
+    (3, 1.5): "1e42ec28306f6154413156fd5e13df129034f4678448d2446e03cd7ad8c044bb",
+    (3, 2.0): "ab7d28377748cf9713c737a70efcc3fc0d93372ff18e10903e875fe1d2d4c60c",
+    (3, 3.0): "c73bf9afdc32c883ff3137f3b76d69c5465fb823bd3b2822e4f42af29a90c127",
+    (3, 6.0): "5aafd75ae1abcaf509cd9d120a73b89588114c10bd1d8818084bddf61db69716",
+    (6, 1.25): "06637abede98b6149ee814446c9ac29e3f27f7ed98d00abfd466be572157c2b7",
+    (6, 1.5): "2a3903e80b4651d38c73d6030f4222e2e35723b76d52518f93c6793b30a0d897",
+    (6, 2.0): "05960d41032db3a8bab54ef3b1c3067c6f96a56b28431ce2eb5887e228f35267",
+    (6, 3.0): "0908c6c1e07bc7d1a9ce83e8c1ad6b4a512ca42759dba10a603d2c274a9a22ae",
+    (6, 6.0): "1f9482b93a1cd7cb750f3a4ae0108c7f764a522e436ecaed08324ddd7425aef0",
+    (13, 1.25): "7d75c0ea60e4082a88e987498dbea13ca6a5850813efb2226e2bc4fd9874cae5",
+    (13, 1.5): "fa2fb093c43479bd5d580d2e9a5a72ecebc40369b73c641d9d1bb2685cac5001",
+    (13, 2.0): "a8b317ff5f998c627a2900b863fa5009e977a311de351c6ef19dc4db604009db",
+    (13, 3.0): "f32c8b9f70e145236b36c38d67353fc50c77f350f1d88c308aaf2c54f561be2a",
+    (13, 6.0): "6fe731d3080d414a0920e3c93f55b08824f711c0e59b4e3218111de1bdb2725c",
+    (40, 1.25): "6bfa762f716c7109e785ffd75da6ede99174449b050c6850414640ffcd13dda6",
+    (40, 1.5): "17183ecd6136f107f2ad1b721c5530cc1ce2397ff5d77d6e1b1473e15609f937",
+    (40, 2.0): "94cea517f3db5d571f1543415461f4314094358d8861f7706381ca1a6fe4eb24",
+    (40, 3.0): "8551d8bb00ea272b7d818498c49b35cfd9020f4ffa852c1edaefcb66a88b167e",
+    (40, 6.0): "7b7113b364d3c15cbe49b49cd6e4113e6dcc185028d12e175367d58eb3cd413c",
+}
+
+
+@pytest.mark.parametrize("m, p", sorted(HALF_GRID_KERNEL_FROZEN))
+def test_half_grid_kernel_frozen_bit_for_bit(m, p):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for k in range(m):
+        if (m - k) * p > 1.0:
+            digest.update(_half_grid_kernel(m, k, p).tobytes())
+    assert digest.hexdigest() == HALF_GRID_KERNEL_FROZEN[m, p]
 
 
 _PUBLIC_MAGNITUDE = {
