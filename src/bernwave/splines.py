@@ -125,27 +125,37 @@ def bspline_ft_magnitude(m: int, omega):
     return np.exp(m * _log_abs_sinc(omega / 2.0)) / _SQRT_2PI
 
 
+def _lattice_sum(s: float, theta: np.ndarray) -> np.ndarray:
+    """sum_l (S / |theta + 2 pi l|)^s, S = 2 sin(theta / 2), s > 1: 2 pi-periodic
+    and even, so theta is reduced to [0, pi], where the l = 0 and l = -1
+    terms are taken apart and the rest is two Hurwitz zeta values.  Every
+    base is at most 1, so nothing overflows at high order; where S vanishes
+    (theta = 0, or so small that S underflows) the value is 1."""
+    th = np.mod(theta, 2.0 * np.pi)
+    th = np.minimum(th, 2.0 * np.pi - th)
+    sin2 = 2.0 * np.sin(0.5 * th)
+    r = th / (2.0 * np.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (
+            (sin2 / th) ** s
+            + (sin2 / (2.0 * np.pi - th)) ** s
+            + (sin2 / (2.0 * np.pi)) ** s * (_hurwitz_zeta(s, 1.0 + r) + _hurwitz_zeta(s, 2.0 - r))
+        )
+    out[sin2 == 0.0] = 1.0
+    return out
+
+
 @scalar_or_array
 def autocorrelation_symbol(m: int, omega):
     """The 2*pi-periodic autocorrelation symbol sum_k N_{2m}(m+k) cos(k w).
 
-    Evaluated through its lattice representation
-    sum_l [sin(u)/u]^{2m} at u = (w + 2*pi*l)/2, which is exact (the |l| >= 3
-    part is a Hurwitz-zeta pair) and free of the cancellation that kills the
-    cosine sum in double precision once m is large.  Strictly positive, with
-    minimum at w = pi.
+    Evaluated through its lattice representation sum_l [sin(u)/u]^{2m} at
+    u = (w + 2*pi*l)/2, which is exact and free of the cancellation that
+    kills the cosine sum in double precision once m is large.  Strictly
+    positive, with minimum at w = pi.
     """
     _check_order(m)
-    th = np.mod(omega, 2.0 * np.pi)
-    r = th / (2.0 * np.pi)
-    s = 2 * m
-    out = np.zeros_like(th)
-    for l in (-2, -1, 0, 1, 2):
-        out += np.sinc(r + l) ** s
-    # remaining lattice points: (sin(pi r)/pi)^s * (zeta(s,3+r) + zeta(s,3-r))
-    rem = (np.sin(np.pi * r) / np.pi) ** s
-    out += rem * (_hurwitz_zeta(s, 3.0 + r) + _hurwitz_zeta(s, 3.0 - r))
-    return out
+    return _lattice_sum(2 * m, omega)
 
 
 def _log_wavelet_regular(m: int, u: np.ndarray) -> np.ndarray:

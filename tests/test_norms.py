@@ -412,12 +412,50 @@ def test_vanishing_moment_orders():
 
 
 def test_coefficient_bound_holds_for_gaussian():
+    # off p = 2 and j = 0 the stated bound is the Hoelder product, not a
+    # factor 2^{j(2/p - 1)} below it
     fhat = lambda w: np.exp(-0.5 * w * w)
-    for family, j, nu in (("spline", 0, 0), ("spline", 1, 2), ("daubechies", 0, 1)):
-        r = coefficient_bound_check(fhat, family, 3, j=j, nu=nu, k=1, p=2.0, tol=1e-8)
+    for family, j, nu, p in (("spline", 0, 0, 2.0), ("spline", 1, 2, 2.0), ("daubechies", 0, 1, 2.0),
+                             ("spline", 2, 1, 1.5), ("spline", 2, 1, 3.0)):
+        r = coefficient_bound_check(fhat, family, 3, j=j, nu=nu, k=1, p=p, tol=1e-8)
         assert r.ok
         assert r.inner_product_abs <= r.stated_bound * (1.0 + 1e-6)
-        assert r.stated_bound <= r.holder_bound * (1.0 + 1e-12)
+        assert r.stated_bound == pytest.approx(r.holder_bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [{"p": 1.0}, {"p": math.nan}, {"k": -1}, {"tol": 0.0}, {"tol": -1.0}])
+def test_coefficient_bound_refuses_bad_input_before_any_integral(monkeypatch, bad):
+    from bernwave import norms
+
+    calls = []
+    quadrature = norms._composite_integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_composite_integrate", counted)
+    with pytest.raises(ValueError):
+        coefficient_bound_check(lambda w: np.exp(-0.5 * w * w), "spline", 3, **bad)
+    assert calls == []
+
+
+def test_coefficient_bound_evaluates_psihat_once_over_the_window(monkeypatch):
+    # the Daubechies m = 8 case of the benchmark: one complex integral
+    # (704 nodes of psihat), not a mass and separate re/im parts (2,288)
+    from bernwave import norms
+
+    nodes = []
+    psihat = norms._daub.daub_psi_hat_complex
+
+    def counted(m, w):
+        nodes.append(np.size(w))
+        return psihat(m, w)
+
+    monkeypatch.setattr(norms._daub, "daub_psi_hat_complex", counted)
+    fhat = lambda w: 0.5 * np.exp(-1.3j * w - 0.5 * (0.5 * w) ** 2)
+    assert coefficient_bound_check(fhat, "daubechies", 8, tol=1e-6).ok
+    assert 0 < sum(nodes) <= 1000
 
 
 def _gaussian_spline_wavelet_coefficient(m, center, width):
@@ -994,6 +1032,16 @@ def test_composite_integrate_checks_budget_up_front():
     assert calls == []
     total, _, panels = _composite_integrate(f, np.linspace(0.0, 1.0, 11), 1e-6, node_budget=22 * 10)
     assert panels == 10 and total == pytest.approx(1.0, rel=1e-14)
+
+
+def test_composite_integrate_complex_equals_its_parts():
+    f = lambda x: np.exp((3.0j - 0.5) * x)
+    edges = np.linspace(0.0, 4.0, 9)
+    z, _, _ = _composite_integrate(f, edges, 1e-10)
+    re, _, _ = _composite_integrate(lambda x: f(x).real, edges, 1e-10)
+    im, _, _ = _composite_integrate(lambda x: f(x).imag, edges, 1e-10)
+    assert type(z) is complex and type(re) is float and type(im) is float
+    assert abs(z - complex(re, im)) <= 1e-15 * abs(z)  # a few ulp: einsum rounds complex rows its own way
 
 
 def test_composite_integrate_sin():

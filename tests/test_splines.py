@@ -129,9 +129,15 @@ def test_autocorrelation_symbol_matches_cosine_sum():
     # at small m the naive cosine sum is well conditioned
     m = 3
     vals = bspline_integer_values(2 * m)  # N_6(1) .. N_6(5)
-    w = np.linspace(0.0, 2.0 * math.pi, 17)
+    w = np.linspace(-4.0 * math.pi, 6.0 * math.pi, 81)
     direct = sum(float(vals[m - 1 + k]) * np.cos(k * w) for k in range(-(m - 1), m))
     np.testing.assert_allclose(autocorrelation_symbol(m, w), direct, atol=1e-13)
+
+
+def test_autocorrelation_symbol_is_one_on_the_lattice():
+    w = [0.0, 5e-324, -2.0 * math.pi, 4.0 * math.pi]
+    for m in (1, 4, 40):
+        np.testing.assert_allclose(autocorrelation_symbol(m, w), 1.0, rtol=1e-15)
 
 
 def test_autocorrelation_symbol_positive_min_at_pi():
